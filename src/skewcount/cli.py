@@ -50,14 +50,23 @@ _METHODS = ("det", "dp", "enum", "tilings", "gv_enum", "gv_det")
 
 def _resolve_cap(args: argparse.Namespace) -> int:
     if args.cap is not None:
-        return args.cap
-    raw = os.environ.get(CAP_ENV)
-    if raw is None:
-        return DEFAULT_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise ShapeError(f"{CAP_ENV} must be an integer, got {raw!r}") from None
+        cap, source = args.cap, "--cap"
+    else:
+        raw = os.environ.get(CAP_ENV)
+        if raw is None:
+            return DEFAULT_CAP
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise ShapeError(f"{CAP_ENV} must be an integer, got {raw!r}") from None
+        source = CAP_ENV
+    _require_at_least(source, cap, 0)
+    return cap
+
+
+def _require_at_least(name: str, value: int, low: int) -> None:
+    if value < low:
+        raise ShapeError(f"{name} must be at least {low}, got {value}")
 
 
 def _count(shape: SkewShape, method: str, cap: int) -> int:
@@ -109,7 +118,7 @@ def _verify_job(item: tuple[str, int]) -> dict:
 
 
 def _box_sweep(box_text: str) -> list[str]:
-    match = re.fullmatch(r"(\d+)[xX](\d+)", box_text.strip())
+    match = re.fullmatch(r"([0-9]+)[xX]([0-9]+)", box_text.strip())
     if not match:
         raise ShapeError(f"--box wants AxB, got {box_text!r}")
     rows, cols = int(match.group(1)), int(match.group(2))
@@ -129,6 +138,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         texts = list(args.shapes)
     else:
         raise ShapeError("nothing to verify: give shapes or --box AxB")
+    _require_at_least("--jobs", args.jobs, 1)
     cap = _resolve_cap(args)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -161,6 +171,8 @@ def _lozenge_text(loz: Lozenge) -> str:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     shape = parse_shape(args.shape)
     cap = _resolve_cap(args)
+    if args.limit is not None:
+        _require_at_least("--limit", args.limit, 0)
     if args.what == "paths":
         items = enumerate_paths(shape, cap)
         as_text = lambda p: p.steps

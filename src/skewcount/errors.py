@@ -49,6 +49,13 @@ class MalformedFamilyError(SkewCountError, ValueError):
     """A rhombus-path family does not have the structure an operation requires."""
 
 
+class InvariantError(SkewCountError, RuntimeError):
+    """Internal invariant violation: a result breaks a property the math guarantees.
+
+    Raised in place of ``assert`` so that the check also runs under ``python -O``.
+    """
+
+
 class DegenerateBoundaryError(SkewCountError, RuntimeError):
     """Internal invariant violation: a region boundary walk self-intersects."""
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import NotSquareError
@@ -99,3 +100,32 @@ def det_exact(m: IntMatrix) -> int:
             a[i][k] = 0
         prev = pivot
     return sign * a[n - 1][n - 1]
+
+
+def det_hessenberg(m: IntMatrix) -> int:
+    """Exact determinant of an upper Hessenberg matrix with a unit subdiagonal.
+
+    Expanding the leading k+1 by k+1 minor along its last column gives
+    D_0 = 1 and D_{k+1} = sum_{i<=k} (-1)^(k-i) h_{i,k} D_i, which is O(n^2)
+    multiply-adds and no division. With E_i = (-1)^i D_i the recurrence is
+    sign-free: E_{k+1} = -sum_{i<=k} h_{i,k} E_i, and D_n = (-1)^n E_n.
+
+    Raises ValueError unless every subdiagonal entry is 1 and every entry
+    below the subdiagonal is 0, since the recurrence would silently give a
+    wrong value for any other matrix.
+    """
+    if m.rows != m.cols:
+        raise NotSquareError(f"matrix is {m.rows}x{m.cols}")
+    n = m.rows
+    a = m.entries
+    for i in range(1, n):
+        row = i * n
+        if a[row + i - 1] != 1:
+            raise ValueError(f"subdiagonal entry ({i}, {i - 1}) is {a[row + i - 1]}, not 1")
+        if any(a[row : row + i - 1]):
+            raise ValueError(f"row {i} has a nonzero entry below the subdiagonal")
+    signed = [1]
+    for k in range(n):
+        # rows 0..k of column k
+        signed.append(-sum(map(mul, a[k : (k + 1) * n : n], signed)))
+    return signed[n] if n % 2 == 0 else -signed[n]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import CapExceededError
+from .errors import CapExceededError, InvariantError
 from .exact import IntMatrix, det_exact
 from .paths import LatticePath, Point, count_monotone, iter_monotone_paths
 from .shapes import SkewShape
@@ -119,7 +119,6 @@ def enumerate_disjoint_families(config: GVConfig, cap: int | None = None) -> lis
     found.sort(key=lambda f: tuple((p.north_xs(), p.end) for p in f.paths))
     for family in found:
         # identity permutation is forced for skew-shape endpoint configurations
-        assert all(p.end == config.ends[k] for k, p in enumerate(family.paths)), (
-            f"non-identity family {family}"
-        )
+        if any(p.end != config.ends[k] for k, p in enumerate(family.paths)):
+            raise InvariantError(f"non-identity family {family}")
     return found

@@ -9,6 +9,7 @@ between them.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -20,6 +21,8 @@ from .errors import (
     ShapeError,
 )
 from .paths import LatticePath, path_from_north_record
+
+_DIGITS = re.compile(r"[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -144,18 +147,22 @@ def parse_shape(text: str) -> SkewShape:
     """Parse ``parts ( "/" parts )?`` with comma-separated decimal parts.
 
     ``"9,7,6,2/3,1"`` is outer/inner; a missing "/inner" means the empty
-    inner partition. A lone "0" denotes the empty partition.
+    inner partition. A lone "0" denotes the empty partition. Each part is
+    one or more ASCII digits, with optional whitespace around it; signs,
+    underscores and other digit scripts are rejected.
     """
 
     def parse_parts(chunk: str, label: str) -> Partition:
         items = [t.strip() for t in chunk.split(",")]
         if any(not t for t in items):
             raise ShapeError(f"empty {label} part in {text!r}")
-        try:
-            values = tuple(int(t) for t in items)
-        except ValueError as exc:
-            raise ShapeError(f"bad {label} part in {text!r}: {exc}") from None
-        return Partition(values)
+        for t in items:
+            # int() alone would also take "1_0", "+3" and non-ASCII digits
+            if not _DIGITS.fullmatch(t):
+                raise ShapeError(
+                    f"bad {label} part {t!r} in {text!r}: parts are ASCII digits 0-9"
+                )
+        return Partition(tuple(int(t) for t in items))
 
     body = text.strip()
     if not body:

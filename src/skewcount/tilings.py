@@ -38,6 +38,7 @@ from .errors import (
     CapExceededError,
     ComplementNotPairableError,
     DegenerateBoundaryError,
+    InvariantError,
     MalformedFamilyError,
     NotAdmissibleError,
     WrongEndpointsError,
@@ -198,7 +199,8 @@ def region_from_shape(shape: SkewShape) -> Region:
         )
     triangles = _interior_triangles(walk)
     ups = sum(1 for t in triangles if t.up)
-    assert 2 * ups == len(triangles), "region has unequal UP/DOWN triangle counts"
+    if 2 * ups != len(triangles):
+        raise InvariantError("region has unequal UP/DOWN triangle counts")
     return Region(walk, frozenset(triangles))
 
 
@@ -306,7 +308,8 @@ def extract_family(tiling: Tiling, direction: str) -> RhombusPathFamily:
             continue
         entry, leave = _side_keys(direction, loz)
         # in a tiling at most one lozenge sits forward of any given segment
-        assert entry not in by_entry, f"two lozenges enter through {entry}"
+        if entry in by_entry:
+            raise InvariantError(f"two lozenges enter through {entry}")
         by_entry[entry] = loz
         exits.add(leave)
         members += 1
@@ -321,7 +324,8 @@ def extract_family(tiling: Tiling, direction: str) -> RhombusPathFamily:
             key = _side_keys(direction, loz)[1]
         chains.append(tuple(chain))
         used += len(chain)
-    assert used == members, "chains failed to cover every eligible lozenge"
+    if used != members:
+        raise InvariantError("chains failed to cover every eligible lozenge")
     return RhombusPathFamily(direction, tuple(chains))
 
 
@@ -379,7 +383,8 @@ def lattice_path_to_tiling(shape: SkewShape, path: LatticePath) -> Tiling:
             b += 1
         lozenges.append(loz)
         covered.update(lozenge_triangles(loz))
-    assert covered <= region.triangles, "path lozenges escaped the region"
+    if not covered <= region.triangles:
+        raise InvariantError("path lozenges escaped the region")
     rest = region.triangles - covered
     downs = {t for t in rest if not t.up}
     for t in sorted((t for t in rest if t.up), key=_triangle_key):

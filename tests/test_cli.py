@@ -51,6 +51,25 @@ class TestCount:
         assert code == 0
         assert out == "14\n"
 
+    def test_non_ascii_digit_shape(self, capsys):
+        code, out, err = run(capsys, "count", "+3,\u0663")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("method", ["det", "enum"])
+    def test_negative_cap(self, capsys, method):
+        code, out, err = run(capsys, "count", "3,2,1", "--method", method, "--cap", "-5")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --cap must be at least 0, got -5\n"
+
+    def test_negative_env_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("SKEWCOUNT_CAP", "-5")
+        code, _, err = run(capsys, "count", "3,2,1", "--method", "enum")
+        assert code == 2
+        assert err == "error: SKEWCOUNT_CAP must be at least 0, got -5\n"
+
     def test_bad_env_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("SKEWCOUNT_CAP", "lots")
         code, _, err = run(capsys, "count", "1", "--method", "enum")
@@ -115,6 +134,19 @@ class TestVerify:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_box_wants_ascii_digits(self, capsys):
+        code, out, err = run(capsys, "verify", "--box", "2x\u0662")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one(self, capsys, jobs):
+        code, out, err = run(capsys, "verify", "1", "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+
     def test_box_and_shapes_conflict(self, capsys):
         code, _, err = run(capsys, "verify", "--box", "2x2", "1")
         assert code == 2
@@ -141,6 +173,17 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "1", "paths", "--limit", "9")
         assert code == 0
         assert "truncated" not in out
+
+    def test_negative_limit(self, capsys):
+        code, out, err = run(capsys, "enumerate", "2,1", "paths", "--limit", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --limit must be at least 0, got -1\n"
+
+    def test_zero_limit(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "2,1", "paths", "--limit", "0")
+        assert code == 0
+        assert out == "... truncated: showing 0 of 5\n"
 
     def test_paths_json(self, capsys):
         code, out, _ = run(capsys, "enumerate", "1", "paths", "--format", "json")

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from skewcount.errors import NotSquareError
-from skewcount.exact import IntMatrix, binomial, det_exact
+from skewcount.exact import IntMatrix, binomial, det_exact, det_hessenberg
 
 
 def laplace_det(rows):
@@ -134,3 +134,49 @@ class TestDetExact:
         assert det_exact(IntMatrix.from_rows(swapped)) == -det_exact(
             IntMatrix.from_rows(rows)
         )
+
+
+def unit_hessenberg(n, upper):
+    """n x n matrix: 1 on the subdiagonal, 0 below it, `upper` read row-major above."""
+    values = iter(upper)
+    return [
+        [1 if j == i - 1 else 0 if j < i - 1 else next(values) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+unit_hessenberg_rows = st.integers(0, 7).flatmap(
+    lambda n: st.lists(
+        st.integers(-9, 9), min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2
+    ).map(lambda upper: unit_hessenberg(n, upper))
+)
+
+
+class TestDetHessenberg:
+    def test_fixture_2x2(self):
+        assert det_hessenberg(IntMatrix.from_rows([[3, 1], [1, 2]])) == 5
+
+    def test_empty_matrix_is_one(self):
+        assert det_hessenberg(IntMatrix(0, 0, ())) == 1
+
+    @given(unit_hessenberg_rows)
+    def test_agrees_with_laplace(self, rows):
+        m = IntMatrix.from_rows(rows)
+        assert det_hessenberg(m) == laplace_det(rows) == det_exact(m)
+
+    def test_not_square(self):
+        with pytest.raises(NotSquareError):
+            det_hessenberg(IntMatrix.from_rows([[1, 2, 3], [1, 5, 6]]))
+
+    @pytest.mark.parametrize("sub", [0, 2, -1])
+    def test_rejects_non_unit_subdiagonal(self, sub):
+        rows = unit_hessenberg(3, range(1, 7))
+        rows[2][1] = sub
+        with pytest.raises(ValueError, match="subdiagonal"):
+            det_hessenberg(IntMatrix.from_rows(rows))
+
+    def test_rejects_entry_below_subdiagonal(self):
+        rows = unit_hessenberg(4, range(1, 11))
+        rows[3][1] = 5
+        with pytest.raises(ValueError, match="below the subdiagonal"):
+            det_hessenberg(IntMatrix.from_rows(rows))

@@ -1,7 +1,17 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from skewcount.exact import binomial
+import skewcount
+import skewcount.kreweras as kreweras
+from skewcount.errors import InvariantError
+from skewcount.exact import binomial, det_exact, det_hessenberg
 from skewcount.kreweras import kreweras_count, kreweras_matrix, remove_empty_rows
 from skewcount.paths import count_paths_dp
 from skewcount.shapes import Partition, SkewShape, parse_shape, partitions_in_box, subpartitions
@@ -82,3 +92,52 @@ def test_determinant_equals_dp(lam):
     for mu in subpartitions(lam):
         s = SkewShape(Partition(lam), Partition(mu))
         assert kreweras_count(s) == count_paths_dp(s)
+
+
+@st.composite
+def skew_shapes(draw, max_rows=60, max_width=60):
+    n = draw(st.integers(0, max_rows))
+    parts = st.lists(st.integers(0, max_width), min_size=n, max_size=n)
+    outer = sorted(draw(parts), reverse=True)
+    # the rowwise min of two weakly decreasing sequences is weakly decreasing
+    inner = [min(o, i) for o, i in zip(outer, sorted(draw(parts), reverse=True))]
+    return SkewShape(Partition(tuple(outer)), Partition(tuple(inner)))
+
+
+@given(skew_shapes())
+def test_hessenberg_equals_bareiss_equals_dp(shape):
+    m = kreweras_matrix(shape).matrix
+    assert det_hessenberg(m) == det_exact(m) == count_paths_dp(shape)
+
+
+def test_staircase_200_is_catalan():
+    # staircase n,...,1 has Catalan(n+1) paths; far beyond a Laplace oracle,
+    # so a wrong sign convention in the expansion shows here
+    shape = SkewShape(Partition(tuple(range(200, 0, -1))))
+    assert kreweras_count(shape) == math.comb(402, 201) // 202
+
+
+def test_negative_count_raises(monkeypatch):
+    monkeypatch.setattr(kreweras, "det_hessenberg", lambda m: -1)
+    with pytest.raises(InvariantError, match="negative path count"):
+        kreweras_count(parse_shape("2,1"))
+
+
+def test_negative_count_raises_under_optimize():
+    script = (
+        "import skewcount.kreweras as k\n"
+        "from skewcount import InvariantError, parse_shape\n"
+        "k.det_hessenberg = lambda m: -1\n"
+        "try:\n"
+        "    k.kreweras_count(parse_shape('2,1'))\n"
+        "except InvariantError:\n"
+        "    print('raised')\n"
+    )
+    src = str(Path(skewcount.__file__).resolve().parents[1])
+    path = [p for p in (src, os.environ.get("PYTHONPATH")) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "raised\n"

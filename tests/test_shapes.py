@@ -72,6 +72,17 @@ def test_parse_rejects_garbage():
             parse_shape(bad)
 
 
+@pytest.mark.parametrize("bad", ["1_0", "+3", "\u0663", "1 0", "2,1/\u0663"])
+def test_parse_accepts_only_ascii_digits(bad):
+    # int() takes "1_0" as 10, "+3" as 3 and the Arabic-Indic digit as 3
+    with pytest.raises(ShapeError):
+        parse_shape(bad)
+
+
+def test_parse_allows_whitespace_around_parts():
+    assert parse_shape(" 3 , 2 / 1 ") == parse_shape("3,2/1")
+
+
 def test_parse_zero_is_empty():
     s = parse_shape("0")
     assert (s.n, s.m) == (0, 0)
