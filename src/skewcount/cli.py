@@ -13,6 +13,8 @@ import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
+from itertools import islice
 
 from .errors import (
     BadIndexError,
@@ -20,11 +22,11 @@ from .errors import (
     NotAdmissibleError,
     ShapeError,
     WrongEndpointsError,
+    capped,
 )
-from .exact import det_exact
-from .gv import enumerate_disjoint_families, gv_endpoints, gv_matrix
+from .gv import enumerate_disjoint_families, gv_count, gv_endpoints
 from .kreweras import kreweras_count
-from .paths import STEP_EAST, STEP_NORTH, LatticePath, count_paths_dp, enumerate_paths
+from .paths import STEP_EAST, STEP_NORTH, LatticePath, count_paths_dp, enumerate_paths, iter_paths
 from .shapes import (
     Partition,
     SkewShape,
@@ -34,8 +36,8 @@ from .shapes import (
     subpartitions,
 )
 from .tilings import (
-    Lozenge,
     enumerate_tilings,
+    iter_tilings,
     lattice_path_to_tiling,
     region_from_shape,
     render_svg,
@@ -44,66 +46,57 @@ from .tilings import (
 DEFAULT_CAP = 1_000_000
 CAP_ENV = "SKEWCOUNT_CAP"
 
-# verify runs and reports these, in this order
-_METHODS = ("det", "dp", "enum", "tilings", "gv_enum", "gv_det")
+# every route, in verify's order; lambdas look names up at call time, so patches take effect
+METHODS = {
+    "det": lambda shape, cap: kreweras_count(shape),
+    "dp": lambda shape, cap: count_paths_dp(shape),
+    "enum": lambda shape, cap: len(enumerate_paths(shape, cap)),
+    "tilings": lambda shape, cap: len(enumerate_tilings(region_from_shape(shape), cap)),
+    "gv_enum": lambda shape, cap: len(enumerate_disjoint_families(gv_endpoints(shape), cap)),
+    "gv_det": lambda shape, cap: gv_count(gv_endpoints(shape)),
+}
+
+# the shape-part grammar (ASCII digits, whitespace around them) plus a sign;
+# int() alone would also take "1_0", "+3" and non-ASCII digits
+_INTEGER = re.compile(r"\s*(-?[0-9]+)\s*")
+
+
+def _int_at_least(name: str, raw: str, low: int) -> int:
+    """Parse an integer flag or variable and check its lower bound."""
+    bad = ShapeError(f"{name} must be an integer, got {raw!r}")
+    match = _INTEGER.fullmatch(raw)
+    if match is None:
+        raise bad
+    try:
+        value = int(match.group(1))
+    except ValueError:  # more digits than int() converts
+        raise bad from None
+    if value < low:
+        raise ShapeError(f"{name} must be at least {low}, got {value}")
+    return value
 
 
 def _resolve_cap(args: argparse.Namespace) -> int:
     if args.cap is not None:
-        cap, source = args.cap, "--cap"
-    else:
-        raw = os.environ.get(CAP_ENV)
-        if raw is None:
-            return DEFAULT_CAP
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ShapeError(f"{CAP_ENV} must be an integer, got {raw!r}") from None
-        source = CAP_ENV
-    _require_at_least(source, cap, 0)
-    return cap
-
-
-def _require_at_least(name: str, value: int, low: int) -> None:
-    if value < low:
-        raise ShapeError(f"{name} must be at least {low}, got {value}")
-
-
-def _count(shape: SkewShape, method: str, cap: int) -> int:
-    if method == "det":
-        return kreweras_count(shape)
-    if method == "dp":
-        return count_paths_dp(shape)
-    if method == "enum":
-        return len(enumerate_paths(shape, cap))
-    if method == "tilings":
-        return len(enumerate_tilings(region_from_shape(shape), cap))
-    if method == "gv":
-        return det_exact(gv_matrix(gv_endpoints(shape)))
-    raise ValueError(f"unknown method {method!r}")
+        return _int_at_least("--cap", args.cap, 0)
+    raw = os.environ.get(CAP_ENV)
+    return DEFAULT_CAP if raw is None else _int_at_least(CAP_ENV, raw, 0)
 
 
 def cmd_count(args: argparse.Namespace) -> int:
     shape = parse_shape(args.shape)
-    print(_count(shape, args.method, _resolve_cap(args)))
+    method = "gv_det" if args.method == "gv" else args.method
+    print(METHODS[method](shape, _resolve_cap(args)))
     return 0
 
 
 def _verify_one(text: str, cap: int) -> dict:
     shape = parse_shape(text)
-    runners = {
-        "det": lambda: kreweras_count(shape),
-        "dp": lambda: count_paths_dp(shape),
-        "enum": lambda: len(enumerate_paths(shape, cap)),
-        "tilings": lambda: len(enumerate_tilings(region_from_shape(shape), cap)),
-        "gv_enum": lambda: len(enumerate_disjoint_families(gv_endpoints(shape), cap)),
-        "gv_det": lambda: det_exact(gv_matrix(gv_endpoints(shape))),
-    }
     counts = {}
     elapsed = {}
-    for name in _METHODS:
+    for name, count in METHODS.items():
         t0 = time.perf_counter()
-        counts[name] = runners[name]()
+        counts[name] = count(shape, cap)
         elapsed[name] = round((time.perf_counter() - t0) * 1000.0, 3)
     return {
         "shape": format_shape(shape),
@@ -111,10 +104,6 @@ def _verify_one(text: str, cap: int) -> dict:
         "agree": len(set(counts.values())) == 1,
         "elapsed_ms": elapsed,
     }
-
-
-def _verify_job(item: tuple[str, int]) -> dict:
-    return _verify_one(*item)
 
 
 def _box_sweep(box_text: str) -> list[str]:
@@ -138,12 +127,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         texts = list(args.shapes)
     else:
         raise ShapeError("nothing to verify: give shapes or --box AxB")
-    _require_at_least("--jobs", args.jobs, 1)
+    jobs = _int_at_least("--jobs", args.jobs, 1)
     cap = _resolve_cap(args)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reports = pool.map(_verify_job, [(t, cap) for t in texts])
-            first_bad = _emit_reports(reports)
+    # a pool forks all its workers at the first submit, so never ask for more
+    # than there are shapes or CPUs
+    workers = min(jobs, len(texts), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            first_bad = _emit_reports(pool.map(partial(_verify_one, cap=cap), texts))
     else:
         first_bad = _emit_reports(_verify_one(t, cap) for t in texts)
     if first_bad is not None:
@@ -164,40 +155,37 @@ def _emit_reports(reports) -> dict | None:
     return first_bad
 
 
-def _lozenge_text(loz: Lozenge) -> str:
-    return f"T{loz.kind}({loz.a},{loz.b})"
-
-
 def cmd_enumerate(args: argparse.Namespace) -> int:
     shape = parse_shape(args.shape)
     cap = _resolve_cap(args)
-    if args.limit is not None:
-        _require_at_least("--limit", args.limit, 0)
+    limit = None if args.limit is None else _int_at_least("--limit", args.limit, 0)
     if args.what == "paths":
-        items = enumerate_paths(shape, cap)
+        items = iter_paths(shape)
         as_text = lambda p: p.steps
-        as_json = lambda p: p.to_json()
     elif args.what == "tilings":
-        items = enumerate_tilings(region_from_shape(shape), cap)
-        as_text = lambda t: " ".join(_lozenge_text(l) for l in t.sorted_lozenges())
-        as_json = lambda t: t.to_json()
+        items = iter_tilings(region_from_shape(shape))
+        as_text = lambda t: " ".join(f"T{l.kind}({l.a},{l.b})" for l in t.sorted_lozenges())
     else:
+        # families are sorted after the whole search, so they cannot stream
         items = enumerate_disjoint_families(gv_endpoints(shape), cap)
         as_text = lambda f: " | ".join(
             f"({p.start[0]},{p.start[1]}):{p.steps}" for p in f.paths
         )
-        as_json = lambda f: f.to_json()
-    shown = items if args.limit is None else items[: args.limit]
+    # one item past the limit tells whether to mark the listing truncated;
+    # everything is drawn before anything prints, so a cap error prints no item
+    drawn = list(islice(capped(items, cap), None if limit is None else limit + 1))
+    shown = drawn[:limit]
     for item in shown:
         if args.fmt == "json":
-            print(json.dumps(as_json(item), sort_keys=True))
+            print(json.dumps(item.to_json(), sort_keys=True))
         else:
             print(as_text(item))
-    if len(shown) < len(items):
+    if len(shown) < len(drawn):
+        total = count_paths_dp(shape)
         if args.fmt == "json":
-            print(json.dumps({"truncated": True, "shown": len(shown), "total": len(items)}))
+            print(json.dumps({"truncated": True, "shown": len(shown), "total": total}))
         else:
-            print(f"... truncated: showing {len(shown)} of {len(items)}")
+            print(f"... truncated: showing {len(shown)} of {total}")
     return 0
 
 
@@ -205,12 +193,12 @@ def cmd_render(args: argparse.Namespace) -> int:
     shape = parse_shape(args.shape)
     region = region_from_shape(shape)
     if args.tiling is not None:
-        tilings = enumerate_tilings(region, _resolve_cap(args))
-        if not 0 <= args.tiling < len(tilings):
-            raise BadIndexError(
-                f"tiling index {args.tiling} outside 0..{len(tilings) - 1}"
-            )
-        tiling = tilings[args.tiling]
+        tilings = capped(iter_tilings(region), _resolve_cap(args))
+        index = _int_at_least("--tiling", args.tiling, 0)
+        tiling = next(islice(tilings, index, None), None)
+        if tiling is None:
+            total = count_paths_dp(shape)
+            raise BadIndexError(f"tiling index {index} outside 0..{total - 1}")
     else:
         bad = set(args.path) - {STEP_EAST, STEP_NORTH}
         if bad:
@@ -225,7 +213,6 @@ def cmd_render(args: argparse.Namespace) -> int:
 def _add_cap(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cap",
-        type=int,
         default=None,
         metavar="N",
         help=f"enumeration item cap (default {DEFAULT_CAP}, or ${CAP_ENV})",
@@ -244,9 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("shape", help='shape text, e.g. "9,7,6,2/3,1"')
     p.add_argument(
         "--method",
-        choices=("det", "dp", "enum", "tilings", "gv"),
+        choices=(*METHODS, "gv"),
         default="det",
-        help="counting method (default det)",
+        help="counting method (default det; gv is gv_det)",
     )
     _add_cap(p)
     p.set_defaults(func=cmd_count)
@@ -261,14 +248,14 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="AxB",
         help="sweep every outer shape in an AxB box with every contained inner one",
     )
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    p.add_argument("--jobs", default="1", help="worker processes (default 1)")
     _add_cap(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("enumerate", help="list paths, tilings, or disjoint families")
     p.add_argument("shape")
     p.add_argument("what", choices=("paths", "tilings", "families"))
-    p.add_argument("--limit", type=int, default=None, metavar="K",
+    p.add_argument("--limit", default=None, metavar="K",
                    help="show at most K items, with a truncation marker")
     p.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
     _add_cap(p)
@@ -277,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="write an SVG of a tiling of the shape's region")
     p.add_argument("shape")
     pick = p.add_mutually_exclusive_group(required=True)
-    pick.add_argument("--tiling", type=int, metavar="INDEX",
+    pick.add_argument("--tiling", metavar="INDEX",
                       help="index into the canonical tiling order")
     pick.add_argument("--path", metavar="STEPS",
                       help="admissible path whose induced tiling to draw")

@@ -1,4 +1,6 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the one place a cap is enforced."""
+
+from typing import Iterable, Iterator
 
 
 class SkewCountError(Exception):
@@ -35,6 +37,21 @@ class CapExceededError(SkewCountError, RuntimeError):
     def __init__(self, cap: int):
         super().__init__(f"enumeration exceeded cap of {cap} items")
         self.cap = cap
+
+
+def capped(items: Iterable, cap: int | None) -> Iterator:
+    """Yield the items, raising CapExceededError in place of item cap + 1.
+
+    Draws from ``items`` only as the caller draws, so a consumer that stops
+    early never meets the cap. ``None`` means no cap.
+    """
+    if cap is None:
+        yield from items
+        return
+    for i, item in enumerate(items):
+        if i == cap:
+            raise CapExceededError(cap)
+        yield item
 
 
 class WrongEndpointsError(SkewCountError, ValueError):

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterator
 
-from .errors import CapExceededError, InvariantError
+from .errors import InvariantError, capped
 from .exact import IntMatrix, det_exact
 from .paths import LatticePath, Point, count_monotone, iter_monotone_paths
 from .shapes import SkewShape
@@ -89,16 +90,13 @@ def enumerate_disjoint_families(config: GVConfig, cap: int | None = None) -> lis
     configurations every family found connects start i to end i (checked).
     """
     n = config.n
-    found: list[PathFamily] = []
     chosen: list[LatticePath] = []
     used_ends = [False] * n
     occupied: set[Point] = set()
 
-    def go(i: int) -> None:
+    def go(i: int) -> Iterator[PathFamily]:
         if i == n:
-            if cap is not None and len(found) >= cap:
-                raise CapExceededError(cap)
-            found.append(PathFamily(tuple(chosen)))
+            yield PathFamily(tuple(chosen))
             return
         for j in range(n):
             if used_ends[j]:
@@ -110,13 +108,13 @@ def enumerate_disjoint_families(config: GVConfig, cap: int | None = None) -> lis
                 used_ends[j] = True
                 occupied.update(verts)
                 chosen.append(path)
-                go(i + 1)
+                yield from go(i + 1)
                 chosen.pop()
                 occupied.difference_update(verts)
                 used_ends[j] = False
 
-    go(0)
-    found.sort(key=lambda f: tuple((p.north_xs(), p.end) for p in f.paths))
+    found = sorted(capped(go(0), cap),
+                   key=lambda f: tuple((p.north_xs(), p.end) for p in f.paths))
     for family in found:
         # identity permutation is forced for skew-shape endpoint configurations
         if any(p.end != config.ends[k] for k, p in enumerate(family.paths)):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
-from .errors import CapExceededError, WrongEndpointsError
+from .errors import WrongEndpointsError, capped
 from .exact import binomial
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -105,14 +105,15 @@ def is_admissible(shape: "SkewShape", path: LatticePath) -> bool:
     )
 
 
-def _iter_records(bounds: tuple[tuple[int, int], ...]) -> Iterator[tuple[int, ...]]:
-    """All weakly increasing sequences within the bounds, lexicographically."""
-    n = len(bounds)
+def iter_paths(shape: "SkewShape") -> Iterator[LatticePath]:
+    """All admissible paths of the shape, lazily, lexicographically by north record."""
+    bounds = shape.north_step_bounds()
+    n, width = len(bounds), shape.width
     rec: list[int] = []
 
-    def go(k: int, floor: int) -> Iterator[tuple[int, ...]]:
+    def go(k: int, floor: int) -> Iterator[LatticePath]:
         if k == n:
-            yield tuple(rec)
+            yield path_from_north_record(tuple(rec), width)
             return
         lo, hi = bounds[k]
         for c in range(max(lo, floor), hi + 1):
@@ -125,12 +126,7 @@ def _iter_records(bounds: tuple[tuple[int, int], ...]) -> Iterator[tuple[int, ..
 
 def enumerate_paths(shape: "SkewShape", cap: int | None = None) -> list[LatticePath]:
     """All admissible paths of the shape, ordered lexicographically by north record."""
-    out = []
-    for record in _iter_records(shape.north_step_bounds()):
-        if cap is not None and len(out) >= cap:
-            raise CapExceededError(cap)
-        out.append(path_from_north_record(record, shape.width))
-    return out
+    return list(capped(iter_paths(shape), cap))
 
 
 def count_paths_dp(shape: "SkewShape") -> int:

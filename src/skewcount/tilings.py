@@ -35,13 +35,13 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .errors import (
-    CapExceededError,
     ComplementNotPairableError,
     DegenerateBoundaryError,
     InvariantError,
     MalformedFamilyError,
     NotAdmissibleError,
     WrongEndpointsError,
+    capped,
 )
 from .gv import PathFamily, gv_endpoints
 from .paths import STEP_EAST, STEP_NORTH, LatticePath, is_admissible
@@ -224,8 +224,8 @@ def _pairings(t: Triangle) -> tuple[tuple[Lozenge, Triangle], ...]:
     )
 
 
-def enumerate_tilings(region: Region, cap: int | None = None) -> list[Tiling]:
-    """All tilings of the region, by backtracking perfect-matching search.
+def iter_tilings(region: Region) -> Iterator[Tiling]:
+    """All tilings of the region, lazily, by backtracking perfect-matching search.
 
     Always pairs the first uncovered triangle in the fixed (b, a, UP<DOWN)
     order, trying kinds T1, T2, T3; the output order is the search order.
@@ -236,16 +236,13 @@ def enumerate_tilings(region: Region, cap: int | None = None) -> list[Tiling]:
     present = region.triangles
     covered: set[Triangle] = set()
     chosen: list[Lozenge] = []
-    found: list[Tiling] = []
 
-    def go(start: int) -> None:
+    def go(start: int) -> Iterator[Tiling]:
         i = start
         while i < len(order) and order[i] in covered:
             i += 1
         if i == len(order):
-            if cap is not None and len(found) >= cap:
-                raise CapExceededError(cap)
-            found.append(Tiling(frozenset(chosen)))
+            yield Tiling(frozenset(chosen))
             return
         t = order[i]
         covered.add(t)
@@ -253,13 +250,17 @@ def enumerate_tilings(region: Region, cap: int | None = None) -> list[Tiling]:
             if partner in present and partner not in covered:
                 covered.add(partner)
                 chosen.append(loz)
-                go(i + 1)
+                yield from go(i + 1)
                 chosen.pop()
                 covered.remove(partner)
         covered.remove(t)
 
-    go(0)
-    return found
+    return go(0)
+
+
+def enumerate_tilings(region: Region, cap: int | None = None) -> list[Tiling]:
+    """All tilings of the region, in the search order of :func:`iter_tilings`."""
+    return list(capped(iter_tilings(region), cap))
 
 
 def _side_keys(direction: str, loz: Lozenge) -> tuple[TriPoint, TriPoint]:

@@ -271,3 +271,161 @@ class TestRender:
         with pytest.raises(SystemExit) as exc:
             run(capsys, "render", "1", "--tiling", "0", "--path", "EN", "-o", str(tmp_path / "x.svg"))
         assert exc.value.code == 2
+
+
+class TestMethodTable:
+    @pytest.mark.parametrize("method", [*cli.METHODS, "gv"])
+    def test_every_method_counts(self, capsys, method):
+        code, out, _ = run(capsys, "count", "2,1", "--method", method)
+        assert code == 0
+        assert out == "5\n"
+
+    def test_verify_reports_the_table_in_order(self, capsys):
+        code, out, _ = run(capsys, "verify", "2,1")
+        assert code == 0
+        report = json.loads(out)
+        assert list(cli.METHODS) == ["det", "dp", "enum", "tilings", "gv_enum", "gv_det"]
+        assert set(report["counts"]) == set(cli.METHODS)
+
+
+class TestStreaming:
+    def test_path_prefix_under_a_small_cap(self, capsys):
+        code, out, err = run(
+            capsys, "enumerate", "5,5,5,5,5,5,5,5,5,5", "paths", "--limit", "1", "--cap", "1000"
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["NNNNNNNNNNEEEEE", "... truncated: showing 1 of 3003"]
+
+    def test_tiling_prefix_under_a_small_cap(self, capsys):
+        code, out, err = run(capsys, "enumerate", "3,3,3", "tilings", "--limit", "2", "--cap", "5")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert len(lines) == 3
+        assert lines[-1] == "... truncated: showing 2 of 20"
+
+    def test_json_prefix_total_comes_from_dp(self, capsys):
+        code, out, _ = run(
+            capsys, "enumerate", "3,3,3", "tilings", "--limit", "1", "--cap", "2", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out.splitlines()[-1]) == {"truncated": True, "shown": 1, "total": 20}
+
+    @pytest.mark.parametrize("cap, code", [("3", 0), ("2", 3)])
+    def test_cap_counts_items_drawn(self, capsys, cap, code):
+        # --limit 2 draws a third item to decide on the truncation marker
+        got, out, _ = run(capsys, "enumerate", "2,1", "paths", "--limit", "2", "--cap", cap)
+        assert got == code
+        assert (out == "") == (code == 3)
+
+    def test_render_draws_only_up_to_the_index(self, capsys, tmp_path):
+        out_file = tmp_path / "big.svg"
+        code, _, err = run(
+            capsys, "render", "5,5,5,5,5,5,5,5,5,5", "--tiling", "0", "--cap", "1",
+            "-o", str(out_file),
+        )
+        assert (code, err) == (0, "")
+        assert out_file.read_text().startswith("<svg ")
+
+    def test_render_index_past_cap(self, capsys, tmp_path):
+        code, _, _ = run(capsys, "render", "2,1", "--tiling", "4", "--cap", "4",
+                         "-o", str(tmp_path / "x.svg"))
+        assert code == 3
+
+    def test_render_out_of_range_names_the_total(self, capsys, tmp_path):
+        code, _, err = run(capsys, "render", "2,1", "--tiling", "5", "-o", str(tmp_path / "x.svg"))
+        assert code == 2
+        assert err == "error: tiling index 5 outside 0..4\n"
+
+
+BAD_INTEGERS = [
+    "1_3", "\u0661", "abc", "+3", "1 0", "", "1e3", "-",
+    pytest.param("1" * 5000, id="5000-digits"),  # past int()'s digit limit
+]
+
+
+class TestIntegerFlags:
+    @pytest.mark.parametrize("raw", BAD_INTEGERS)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "3,2,1", "--method", "enum", "--cap"),
+            ("enumerate", "2,1", "paths", "--limit"),
+            ("verify", "1", "--jobs"),
+        ],
+    )
+    def test_bad_flag(self, capsys, argv, raw):
+        code, out, err = run(capsys, *argv, raw)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {argv[-1]} must be an integer")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("raw", BAD_INTEGERS)
+    def test_bad_tiling_index(self, capsys, tmp_path, raw):
+        out_file = tmp_path / "x.svg"
+        code, _, err = run(capsys, "render", "1", "--tiling", raw, "-o", str(out_file))
+        assert code == 2
+        assert err.startswith("error: --tiling must be an integer")
+        assert err.count("\n") == 1
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("raw", BAD_INTEGERS)
+    def test_bad_env_cap(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("SKEWCOUNT_CAP", raw)
+        code, _, err = run(capsys, "count", "1", "--method", "enum")
+        assert code == 2
+        assert err.startswith("error: SKEWCOUNT_CAP must be an integer")
+        assert err.count("\n") == 1
+
+    def test_negative_tiling_index(self, capsys, tmp_path):
+        code, _, err = run(capsys, "render", "1", "--tiling", "-1", "-o", str(tmp_path / "x.svg"))
+        assert code == 2
+        assert err == "error: --tiling must be at least 0, got -1\n"
+
+    @pytest.mark.parametrize("raw", [" 14 ", "14", "014", "\t14\n"])
+    def test_whitespace_and_leading_zeros(self, capsys, monkeypatch, raw):
+        code, out, _ = run(capsys, "count", "3,2,1", "--method", "enum", "--cap", raw)
+        assert (code, out) == (0, "14\n")
+        monkeypatch.setenv("SKEWCOUNT_CAP", raw)
+        code, out, _ = run(capsys, "count", "3,2,1", "--method", "enum")
+        assert (code, out) == (0, "14\n")
+
+
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        FakePool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestJobsClamp:
+    @pytest.mark.parametrize(
+        "cpus, targets, sizes",
+        [
+            (3, ["--box", "2x2"], [3]),  # 20 shapes: the CPU count binds
+            (8, ["1", "2,1"], [2]),  # 2 shapes: the shape count binds
+            (None, ["--box", "2x2"], []),  # unknown CPU count: serial, no pool
+            (1, ["--box", "2x2"], []),
+        ],
+    )
+    def test_workers_bounded(self, capsys, monkeypatch, cpus, targets, sizes):
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(FakePool, "sizes", [])
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        code, out, _ = run(capsys, "verify", *targets, "--jobs", "100000")
+        assert code == 0
+        assert FakePool.sizes == sizes
+        reports = [json.loads(line) for line in out.splitlines()]
+        assert all(r["agree"] for r in reports)
+        assert len(reports) == (2 if targets[0] == "1" else 20)

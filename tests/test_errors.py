@@ -1,0 +1,44 @@
+import itertools
+
+import pytest
+
+from skewcount.errors import CapExceededError, capped
+
+
+def counting(n):
+    """Yield 0..n-1 and record how many items were drawn."""
+    drawn = []
+
+    def gen():
+        for i in range(n):
+            drawn.append(i)
+            yield i
+
+    return gen(), drawn
+
+
+class TestCapped:
+    @pytest.mark.parametrize("cap", [0, 1, 3])
+    def test_yields_exactly_cap_then_raises(self, cap):
+        items, drawn = counting(10)
+        it = capped(items, cap)
+        assert list(itertools.islice(it, cap)) == list(range(cap))
+        with pytest.raises(CapExceededError) as exc:
+            next(it)
+        assert exc.value.cap == cap
+        assert drawn == list(range(cap + 1))
+
+    def test_cap_equal_to_length_does_not_raise(self):
+        items, _ = counting(4)
+        assert list(capped(items, 4)) == [0, 1, 2, 3]
+
+    def test_none_is_unbounded(self):
+        items, drawn = counting(5000)
+        assert sum(capped(items, None)) == sum(range(5000))
+        assert len(drawn) == 5000
+
+    @pytest.mark.parametrize("cap", [None, 2, 10])
+    def test_draws_only_what_is_asked(self, cap):
+        items, drawn = counting(100)
+        assert list(itertools.islice(capped(items, cap), 2)) == [0, 1]
+        assert drawn == [0, 1]
