@@ -110,7 +110,11 @@ def _box_sweep(box_text: str) -> list[str]:
     match = re.fullmatch(r"([0-9]+)[xX]([0-9]+)", box_text.strip())
     if not match:
         raise ShapeError(f"--box wants AxB, got {box_text!r}")
-    rows, cols = int(match.group(1)), int(match.group(2))
+    try:
+        rows, cols = int(match.group(1)), int(match.group(2))
+    except ValueError:  # more digits than int() converts
+        side = max(match.groups(), key=len)
+        raise ShapeError(f"--box side of {len(side)} digits is too long") from None
     out = []
     for lam in partitions_in_box(rows, cols):
         for mu in subpartitions(lam):

@@ -28,8 +28,10 @@ class KrewerasMatrix:
 def kreweras_matrix(shape: SkewShape) -> KrewerasMatrix:
     """The n x n binomial matrix of the shape (0x0 when the shape is empty)."""
     n = shape.n
+    outer = shape.outer.parts
+    inner = shape.inner.parts + (0,) * (n - len(shape.inner))
     entries = tuple(
-        binomial(shape.outer.part(j) - shape.inner.part(i) + 1, j - i + 1)
+        binomial(outer[j] - inner[i] + 1, j - i + 1) if j >= i - 1 else 0
         for i in range(n)
         for j in range(n)
     )

@@ -156,13 +156,18 @@ def parse_shape(text: str) -> SkewShape:
         items = [t.strip() for t in chunk.split(",")]
         if any(not t for t in items):
             raise ShapeError(f"empty {label} part in {text!r}")
+        parts = []
         for t in items:
             # int() alone would also take "1_0", "+3" and non-ASCII digits
             if not _DIGITS.fullmatch(t):
                 raise ShapeError(
                     f"bad {label} part {t!r} in {text!r}: parts are ASCII digits 0-9"
                 )
-        return Partition(tuple(int(t) for t in items))
+            try:
+                parts.append(int(t))
+            except ValueError:  # more digits than int() converts
+                raise ShapeError(f"{label} part of {len(t)} digits is too long") from None
+        return Partition(tuple(parts))
 
     body = text.strip()
     if not body:

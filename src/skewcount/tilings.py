@@ -146,41 +146,35 @@ class RhombusPathFamily:
 _CHAIN_KINDS = {"a": (T2, T3), "b": (T1, T3), "c": (T1, T2)}
 
 
-def _inside(px: int, py: int, poly: list[tuple[int, int]]) -> bool:
-    # exact even-odd ray cast toward +x; callers guarantee py is never a
-    # vertex height, so every crossing is clean and no point sits on an edge
-    inside = False
-    for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1]):
-        if y1 == y2:
-            continue
-        if not (min(y1, y2) < py < max(y1, y2)):
-            continue
-        num = x1 * (y2 - y1) + (py - y1) * (x2 - x1)
-        den = y2 - y1
-        if den < 0:
-            num, den = -num, -den
-        if num > px * den:
-            inside = not inside
-    return inside
-
-
 def _interior_triangles(boundary: tuple[TriPoint, ...]) -> list[Triangle]:
-    # the chart (a, b) -> (2a + b, b) is linear and injective, so containment
-    # transfers; scaling everything by 3 makes the triangle centroids integral,
-    # and their heights (1 or 2 mod 3) never collide with vertex heights (0)
-    poly = [(3 * (2 * p.a + p.b), 3 * p.b) for p in boundary]
-    a_lo = min(p.a for p in boundary) - 1
-    a_hi = max(p.a for p in boundary) + 1
-    b_lo = min(p.b for p in boundary) - 1
-    b_hi = max(p.b for p in boundary) + 1
+    # even-odd scanline over any lattice polygon. The chart (a, b) -> (2a + b, b)
+    # is linear and injective, so containment transfers; scaled by 3, row b's
+    # centroids are integral, UP(a, b) at (6a + 3b + 3, 3b + 1) and DOWN(a, b)
+    # at (6a + 3b + 6, 3b + 2), and those heights never meet a vertex height
+    # (0 mod 3). So an edge from height b1 to b2 > b1 crosses both scan lines
+    # of rows b1..b2-1 cleanly. Each crossing is cut down, by exact floor
+    # division, to (first a whose centroid lies right of it, last a whose
+    # centroid lies left of it); that pair sorts crossings as finely as any
+    # centroid can see, and a centroid strictly between crossings 2k and 2k+1
+    # of its line is inside. O(edges + triangles), integers only.
+    lines: dict[tuple[int, bool], list[tuple[int, int]]] = {}
+    for p, q in zip(boundary, boundary[1:] + boundary[:1]):
+        if p.b == q.b:
+            continue
+        if p.b > q.b:
+            p, q = q, p
+        dx, dy = 6 * (q.a - p.a) + 3 * (q.b - p.b), 3 * (q.b - p.b)
+        for b in range(p.b, q.b):
+            for up, h, c in ((True, 1, 3), (False, 2, 6)):
+                # dy * (crossing x - x of the line's a = 0 centroid); a steps by 6
+                num = (6 * p.a + 3 * (p.b - b) - c) * dy + (3 * (b - p.b) + h) * dx
+                cuts = lines.setdefault((b, up), [])
+                cuts.append((num // (6 * dy) + 1, -(-num // (6 * dy)) - 1))
     out = []
-    for b in range(b_lo, b_hi + 1):
-        for a in range(a_lo, a_hi + 1):
-            base = (6 * a + 3 * b, 3 * b)
-            if _inside(base[0] + 3, base[1] + 1, poly):
-                out.append(Triangle(a, b, True))
-            if _inside(base[0] + 6, base[1] + 2, poly):
-                out.append(Triangle(a, b, False))
+    for (b, up), cuts in lines.items():
+        cuts.sort()
+        for (first, _), (_, last) in zip(cuts[::2], cuts[1::2]):
+            out.extend(Triangle(a, b, up) for a in range(first, last + 1))
     return out
 
 

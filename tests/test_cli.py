@@ -35,6 +35,19 @@ class TestCount:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("1" * 5000, id="outer-5000-digits"),
+            pytest.param("3,2/" + "1" * 5000, id="inner-5000-digits"),
+        ],
+    )
+    def test_part_past_int_digit_limit(self, capsys, text):
+        code, out, err = run(capsys, "count", text)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "part of 5000 digits is too long" in err
+        assert err.count("\n") == 1
+
     def test_cap_exceeded(self, capsys):
         code, _, err = run(capsys, "count", "3,2,1", "--method", "enum", "--cap", "2")
         assert code == 3
@@ -139,6 +152,18 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "box",
+        [
+            pytest.param("1" * 5000 + "x1", id="rows-5000-digits"),
+            pytest.param("1x" + "1" * 5000, id="cols-5000-digits"),
+        ],
+    )
+    def test_box_side_past_int_digit_limit(self, capsys, box):
+        code, out, err = run(capsys, "verify", "--box", box)
+        assert (code, out) == (2, "")
+        assert err == "error: --box side of 5000 digits is too long\n"
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one(self, capsys, jobs):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given
 
 from skewcount.errors import (
     CapExceededError,
@@ -31,6 +32,7 @@ from skewcount.tilings import (
     tiling_type_census,
     triangle_vertices,
 )
+from test_kreweras import skew_shapes
 
 HEXAGON = parse_shape("1")
 
@@ -45,6 +47,33 @@ def sweep(rows, cols):
     for lam in partitions_in_box(rows, cols):
         for mu in subpartitions(lam):
             yield SkewShape(Partition(lam), Partition(mu))
+
+
+def ray_cast_triangles(boundary):
+    """Reference region interior: every triangle of the bounding box, kept iff
+    an exact even-odd ray cast toward +x from its centroid crosses the
+    boundary an odd number of times (chart (a, b) -> (2a + b, b), scaled by 3).
+    The crossings of each scan height are computed once, not per triangle."""
+    if not boundary:
+        return set()
+    poly = [(3 * (2 * p.a + p.b), 3 * p.b) for p in boundary]
+    edges = list(zip(poly, poly[1:] + poly[:1]))
+    a_lo, a_hi = min(p.a for p in boundary) - 1, max(p.a for p in boundary) + 1
+    b_lo, b_hi = min(p.b for p in boundary) - 1, max(p.b for p in boundary) + 1
+    out = set()
+    for b in range(b_lo, b_hi + 1):
+        for up, h, dx in ((True, 1, 3), (False, 2, 6)):
+            py = 3 * b + h
+            crossings = []
+            for (x1, y1), (x2, y2) in edges:
+                if y1 != y2 and min(y1, y2) < py < max(y1, y2):
+                    num, den = x1 * (y2 - y1) + (py - y1) * (x2 - x1), y2 - y1
+                    crossings.append((num, den) if den > 0 else (-num, -den))
+            for a in range(a_lo, a_hi + 1):
+                px = 6 * a + 3 * b + dx
+                if sum(num > px * den for num, den in crossings) % 2:
+                    out.add(Triangle(a, b, up))
+    return out
 
 
 class TestGeometry:
@@ -110,6 +139,30 @@ class TestRegion:
         region = region_from_shape(parse_shape("2,1/2,1"))
         assert len(region.triangles) == 8
         assert len(enumerate_tilings(region)) == 1
+
+    def test_matches_ray_cast_on_5x5_box(self):
+        for shape in sweep(5, 5):
+            region = region_from_shape(shape)
+            assert region.triangles == ray_cast_triangles(region.boundary), shape
+
+    # the inner parts are rowwise mins, so some rows come out empty
+    @given(skew_shapes(max_rows=25, max_width=25))
+    @example(parse_shape("2,1/2,1"))
+    @example(parse_shape("20,20,15,9,9,4,1/20,15,15,9,4,4"))
+    def test_matches_ray_cast_on_random_shapes(self, shape):
+        region = region_from_shape(shape)
+        assert region.triangles == ray_cast_triangles(region.boundary)
+        expected = shape.m + shape.width + shape.n
+        assert region.up_count == region.down_count == expected
+
+    def test_staircase_200_scales(self):
+        # a bounding-box ray cast would take minutes here; this guards the
+        # O(edges + triangles) build without timing it
+        shape = SkewShape(Partition(tuple(range(200, 0, -1))))
+        region = region_from_shape(shape)
+        expected = shape.m + shape.width + shape.n
+        assert expected == 20500
+        assert region.up_count == region.down_count == expected
 
     def test_to_json(self):
         j = region_from_shape(HEXAGON).to_json()
