@@ -23,10 +23,11 @@ from .errors import (
     ShapeError,
     WrongEndpointsError,
     capped,
+    count_capped,
 )
-from .gv import enumerate_disjoint_families, gv_count, gv_endpoints
+from .gv import gv_count, gv_endpoints, iter_disjoint_families
 from .kreweras import kreweras_count
-from .paths import STEP_EAST, STEP_NORTH, LatticePath, count_paths_dp, enumerate_paths, iter_paths
+from .paths import STEP_EAST, STEP_NORTH, LatticePath, count_paths_dp, iter_paths
 from .shapes import (
     Partition,
     SkewShape,
@@ -35,13 +36,7 @@ from .shapes import (
     partitions_in_box,
     subpartitions,
 )
-from .tilings import (
-    enumerate_tilings,
-    iter_tilings,
-    lattice_path_to_tiling,
-    region_from_shape,
-    render_svg,
-)
+from .tilings import iter_tilings, lattice_path_to_tiling, region_from_shape, render_svg
 
 DEFAULT_CAP = 1_000_000
 CAP_ENV = "SKEWCOUNT_CAP"
@@ -50,9 +45,9 @@ CAP_ENV = "SKEWCOUNT_CAP"
 METHODS = {
     "det": lambda shape, cap: kreweras_count(shape),
     "dp": lambda shape, cap: count_paths_dp(shape),
-    "enum": lambda shape, cap: len(enumerate_paths(shape, cap)),
-    "tilings": lambda shape, cap: len(enumerate_tilings(region_from_shape(shape), cap)),
-    "gv_enum": lambda shape, cap: len(enumerate_disjoint_families(gv_endpoints(shape), cap)),
+    "enum": lambda shape, cap: count_capped(iter_paths(shape), cap),
+    "tilings": lambda shape, cap: count_capped(iter_tilings(region_from_shape(shape)), cap),
+    "gv_enum": lambda shape, cap: count_capped(iter_disjoint_families(gv_endpoints(shape)), cap),
     "gv_det": lambda shape, cap: gv_count(gv_endpoints(shape)),
 }
 
@@ -170,11 +165,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         items = iter_tilings(region_from_shape(shape))
         as_text = lambda t: " ".join(f"T{l.kind}({l.a},{l.b})" for l in t.sorted_lozenges())
     else:
-        # families are sorted after the whole search, so they cannot stream
-        items = enumerate_disjoint_families(gv_endpoints(shape), cap)
-        as_text = lambda f: " | ".join(
-            f"({p.start[0]},{p.start[1]}):{p.steps}" for p in f.paths
-        )
+        items = iter_disjoint_families(gv_endpoints(shape))
+        as_text = lambda f: " | ".join(f"({p.start[0]},{p.start[1]}):{p.steps}" for p in f.paths)
     # one item past the limit tells whether to mark the listing truncated;
     # everything is drawn before anything prints, so a cap error prints no item
     drawn = list(islice(capped(items, cap), None if limit is None else limit + 1))

@@ -54,6 +54,11 @@ def capped(items: Iterable, cap: int | None) -> Iterator:
         yield item
 
 
+def count_capped(items: Iterable, cap: int | None) -> int:
+    """Number of items, drawn one at a time through :func:`capped` and dropped."""
+    return sum(1 for _ in capped(items, cap))
+
+
 class WrongEndpointsError(SkewCountError, ValueError):
     """Path endpoints do not match the shape's corners."""
 

@@ -16,7 +16,7 @@ from typing import Iterator
 
 from .errors import InvariantError, capped
 from .exact import IntMatrix, det_exact
-from .paths import LatticePath, Point, count_monotone, iter_monotone_paths
+from .paths import STEP_EAST, STEP_NORTH, LatticePath, Point, count_monotone
 from .shapes import SkewShape
 
 
@@ -82,41 +82,44 @@ def gv_count(config: GVConfig) -> int:
     return det_exact(gv_matrix(config))
 
 
-def enumerate_disjoint_families(config: GVConfig, cap: int | None = None) -> list[PathFamily]:
-    """All pairwise vertex-disjoint families, any end permutation, brute force.
+def iter_disjoint_families(config: GVConfig) -> Iterator[PathFamily]:
+    """All pairwise vertex-disjoint families, any end permutation, brute force, lazily.
 
-    Paths are assigned start by start, each start may connect to any unused
-    end. The result is sorted by the paths' north records; for these skew
-    configurations every family found connects start i to end i (checked).
+    Paths grow north first and stop at an occupied vertex, so families come in
+    ascending north-record order; a family not pairing start i with end i raises InvariantError.
     """
-    n = config.n
-    chosen: list[LatticePath] = []
-    used_ends = [False] * n
+    used_ends = [False] * config.n
     occupied: set[Point] = set()
 
-    def go(i: int) -> Iterator[PathFamily]:
-        if i == n:
-            yield PathFamily(tuple(chosen))
+    def place(paths: tuple[LatticePath, ...]) -> Iterator[PathFamily]:
+        if len(paths) == config.n:
+            if any(p.end != end for p, end in zip(paths, config.ends)):
+                raise InvariantError(f"non-identity family {PathFamily(paths)}")
+            yield PathFamily(paths)
             return
-        for j in range(n):
-            if used_ends[j]:
-                continue
-            for path in iter_monotone_paths(config.starts[i], config.ends[j]):
-                verts = set(path.vertices())
-                if verts & occupied:
-                    continue
+        x, y = config.starts[len(paths)]
+        for j, (ex, ey) in enumerate(config.ends):
+            if not used_ends[j] and ex >= x and ey >= y:
                 used_ends[j] = True
-                occupied.update(verts)
-                chosen.append(path)
-                yield from go(i + 1)
-                chosen.pop()
-                occupied.difference_update(verts)
+                yield from grow(paths, x, y, ex, ey, "")
                 used_ends[j] = False
 
-    found = sorted(capped(go(0), cap),
-                   key=lambda f: tuple((p.north_xs(), p.end) for p in f.paths))
-    for family in found:
-        # identity permutation is forced for skew-shape endpoint configurations
-        if any(p.end != config.ends[k] for k, p in enumerate(family.paths)):
-            raise InvariantError(f"non-identity family {family}")
-    return found
+    def grow(paths: tuple, x: int, y: int, ex: int, ey: int, steps: str) -> Iterator[PathFamily]:
+        # the next path, having taken `steps`, enters (x, y) on its way to (ex, ey)
+        if (x, y) in occupied:
+            return
+        occupied.add((x, y))
+        if x == ex and y == ey:
+            yield from place(paths + (LatticePath(config.starts[len(paths)], steps),))
+        if y < ey:
+            yield from grow(paths, x, y + 1, ex, ey, steps + STEP_NORTH)
+        if x < ex:
+            yield from grow(paths, x + 1, y, ex, ey, steps + STEP_EAST)
+        occupied.discard((x, y))
+
+    return place(())
+
+
+def enumerate_disjoint_families(config: GVConfig, cap: int | None = None) -> list[PathFamily]:
+    """All pairwise vertex-disjoint families as a list, in ascending north-record order."""
+    return list(capped(iter_disjoint_families(config), cap))

@@ -321,6 +321,14 @@ class TestStreaming:
         assert (code, err) == (0, "")
         assert out.splitlines() == ["NNNNNNNNNNEEEEE", "... truncated: showing 1 of 3003"]
 
+    def test_family_prefix_under_a_small_cap(self, capsys):
+        code, out, err = run(
+            capsys, "enumerate", "5,5,5,5,5,5,5,5,5,5", "families", "--limit", "1", "--cap", "1000"
+        )
+        assert (code, err) == (0, "")
+        first = " | ".join(f"({-k},{k}):NEEEEE" for k in range(1, 11))
+        assert out.splitlines() == [first, "... truncated: showing 1 of 3003"]
+
     def test_tiling_prefix_under_a_small_cap(self, capsys):
         code, out, err = run(capsys, "enumerate", "3,3,3", "tilings", "--limit", "2", "--cap", "5")
         assert (code, err) == (0, "")
@@ -338,9 +346,10 @@ class TestStreaming:
     @pytest.mark.parametrize("cap, code", [("3", 0), ("2", 3)])
     def test_cap_counts_items_drawn(self, capsys, cap, code):
         # --limit 2 draws a third item to decide on the truncation marker
-        got, out, _ = run(capsys, "enumerate", "2,1", "paths", "--limit", "2", "--cap", cap)
-        assert got == code
-        assert (out == "") == (code == 3)
+        for what in ("paths", "families"):
+            got, out, _ = run(capsys, "enumerate", "2,1", what, "--limit", "2", "--cap", cap)
+            assert got == code
+            assert (out == "") == (code == 3)
 
     def test_render_draws_only_up_to_the_index(self, capsys, tmp_path):
         out_file = tmp_path / "big.svg"

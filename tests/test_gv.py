@@ -1,6 +1,6 @@
 import pytest
 
-from skewcount.errors import CapExceededError
+from skewcount.errors import CapExceededError, InvariantError
 from skewcount.exact import det_exact
 from skewcount.gv import (
     GVConfig,
@@ -82,9 +82,18 @@ class TestDisjointFamilies:
         assert families == [PathFamily(())]
 
     def test_canonical_order_is_sorted(self):
-        families = enumerate_disjoint_families(gv_endpoints(parse_shape("3,2")))
-        keys = [tuple((p.north_xs(), p.end) for p in f.paths) for f in families]
-        assert keys == sorted(keys)
+        for lam in partitions_in_box(3, 3):
+            for mu in subpartitions(lam):
+                config = gv_endpoints(SkewShape(Partition(lam), Partition(mu)))
+                families = enumerate_disjoint_families(config)
+                keys = [tuple((p.north_xs(), p.end) for p in f.paths) for f in families]
+                assert keys == sorted(keys)
+
+    def test_non_identity_family_raises(self):
+        # the only disjoint family pairs start 0 with end 1
+        config = GVConfig(((0, 0), (1, 0)), ((1, 1), (0, 1)))
+        with pytest.raises(InvariantError):
+            enumerate_disjoint_families(config)
 
     def test_count_matches_determinant_on_sweep(self):
         for lam in partitions_in_box(2, 3):
