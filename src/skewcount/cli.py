@@ -27,7 +27,7 @@ from .errors import (
 )
 from .gv import gv_count, gv_endpoints, iter_disjoint_families
 from .kreweras import kreweras_count
-from .paths import STEP_EAST, STEP_NORTH, LatticePath, count_paths_dp, iter_paths
+from .paths import LatticePath, count_paths_dp, iter_paths
 from .shapes import (
     Partition,
     SkewShape,
@@ -196,13 +196,13 @@ def cmd_render(args: argparse.Namespace) -> int:
             total = count_paths_dp(shape)
             raise BadIndexError(f"tiling index {index} outside 0..{total - 1}")
     else:
-        bad = set(args.path) - {STEP_EAST, STEP_NORTH}
-        if bad:
-            raise ShapeError(f"path steps must be E or N, got {sorted(bad)}")
         tiling = lattice_path_to_tiling(shape, LatticePath((0, 0), args.path))
     svg = render_svg(region, tiling, args.shade)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    try:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(svg)
+    except OSError as exc:  # a missing directory, a directory as the target, ...
+        raise ShapeError(f"cannot write {args.output}: {exc.strerror}") from None
     return 0
 
 

@@ -8,7 +8,7 @@ class SkewCountError(Exception):
 
 
 class ShapeError(SkewCountError, ValueError):
-    """Invalid partition or skew-shape input (bad grammar included)."""
+    """Invalid user input: a partition, a skew shape, path steps or a usage error."""
 
 
 class NonMonotoneError(ShapeError):
@@ -21,10 +21,6 @@ class NegativePartError(ShapeError):
 
 class NotContainedError(ShapeError):
     """The inner partition is not contained in the outer one."""
-
-
-class RowOutOfRangeError(SkewCountError, IndexError):
-    """Row index outside 1..n."""
 
 
 class NotSquareError(SkewCountError, ValueError):
@@ -76,14 +72,6 @@ class InvariantError(SkewCountError, RuntimeError):
 
     Raised in place of ``assert`` so that the check also runs under ``python -O``.
     """
-
-
-class DegenerateBoundaryError(SkewCountError, RuntimeError):
-    """Internal invariant violation: a region boundary walk self-intersects."""
-
-
-class ComplementNotPairableError(SkewCountError, RuntimeError):
-    """Internal invariant violation: leftover triangles do not pair into cells."""
 
 
 class BadIndexError(SkewCountError, ValueError):

@@ -64,10 +64,6 @@ class IntMatrix:
             for i in range(self.rows)
         ]
 
-    def to_json(self) -> list[list[str]]:
-        """Rows as lists of decimal strings (entries may exceed 64 bits)."""
-        return [[str(x) for x in row] for row in self.row_lists()]
-
 
 def det_exact(m: IntMatrix) -> int:
     """Exact determinant by fraction-free Bareiss elimination.

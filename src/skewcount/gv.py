@@ -35,10 +35,6 @@ class GVConfig:
     def n(self) -> int:
         return len(self.starts)
 
-    def to_json(self) -> dict:
-        return {"starts": [list(p) for p in self.starts],
-                "ends": [list(p) for p in self.ends]}
-
 
 @dataclass(frozen=True)
 class PathFamily:
@@ -97,7 +93,12 @@ def iter_disjoint_families(config: GVConfig) -> Iterator[PathFamily]:
                 raise InvariantError(f"non-identity family {PathFamily(paths)}")
             yield PathFamily(paths)
             return
-        x, y = config.starts[len(paths)]
+        # cut a branch that cannot complete: an unused end no remaining start can reach
+        rest = config.starts[len(paths):]
+        for used, (ex, ey) in zip(used_ends, config.ends):
+            if not used and not any(ex >= sx and ey >= sy for sx, sy in rest):
+                return
+        x, y = rest[0]
         for j, (ex, ey) in enumerate(config.ends):
             if not used_ends[j] and ex >= x and ey >= y:
                 used_ends[j] = True

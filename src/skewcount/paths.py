@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
-from .errors import WrongEndpointsError, capped
+from .errors import ShapeError, WrongEndpointsError, capped
 from .exact import binomial
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -33,7 +33,7 @@ class LatticePath:
     def __post_init__(self) -> None:
         bad = set(self.steps) - {STEP_EAST, STEP_NORTH}
         if bad:
-            raise ValueError(f"invalid step characters: {sorted(bad)}")
+            raise ShapeError(f"path steps must be E or N, got {sorted(bad)}")
 
     @property
     def end(self) -> Point:
@@ -162,21 +162,3 @@ def count_monotone(a: Point, b: Point) -> int:
         return 0
     return binomial(dx + dy, dy)
 
-
-def iter_monotone_paths(a: Point, b: Point) -> Iterator[LatticePath]:
-    """All monotone paths from a to b, lexicographically by step string (E < N)."""
-    dx = b[0] - a[0]
-    dy = b[1] - a[1]
-    if dx < 0 or dy < 0:
-        return
-
-    def go(prefix: str, ex: int, ny: int) -> Iterator[LatticePath]:
-        if ex == 0 and ny == 0:
-            yield LatticePath(a, prefix)
-            return
-        if ex > 0:
-            yield from go(prefix + STEP_EAST, ex - 1, ny)
-        if ny > 0:
-            yield from go(prefix + STEP_NORTH, ex, ny - 1)
-
-    yield from go("", dx, dy)

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import (
     NegativePartError,
     NonMonotoneError,
     NotContainedError,
-    RowOutOfRangeError,
     ShapeError,
 )
 from .paths import LatticePath, path_from_north_record
@@ -32,8 +31,11 @@ class Partition:
     parts: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        parts = tuple(int(p) for p in self.parts)
+        parts = tuple(self.parts)
         for p in parts:
+            # no coercion: int() would take 2.5, "3" or True and count a different shape
+            if type(p) is not int:
+                raise ShapeError(f"partition part {p!r} is not an int")
             if p < 0:
                 raise NegativePartError(f"negative part {p} in {parts}")
         for a, b in zip(parts, parts[1:]):
@@ -100,12 +102,6 @@ class SkewShape:
     def width(self) -> int:
         return self.outer.width
 
-    def row_bounds(self, row: int) -> tuple[int, int]:
-        """(inner_i, outer_i) for 1-based row i."""
-        if not 1 <= row <= self.n:
-            raise RowOutOfRangeError(f"row {row} outside 1..{self.n}")
-        return (self.inner.part(row - 1), self.outer.part(row - 1))
-
     def north_step_bounds(self) -> tuple[tuple[int, int], ...]:
         """Per-north-step (lo, hi) x-bounds, bottom-up: step k is row n-k+1."""
         n = self.n
@@ -135,12 +131,6 @@ def profiles(shape: SkewShape) -> ProfilePair:
         mu_profile=path_from_north_record(tuple(lo for lo, _ in bounds), width),
         lambda_profile=path_from_north_record(tuple(hi for _, hi in bounds), width),
     )
-
-
-def contains_cell(shape: SkewShape, row: int, col: int) -> bool:
-    """True iff the unit cell (1-based row, col) belongs to the skew diagram."""
-    lo, hi = shape.row_bounds(row)
-    return lo < col <= hi
 
 
 def parse_shape(text: str) -> SkewShape:

@@ -35,8 +35,6 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .errors import (
-    ComplementNotPairableError,
-    DegenerateBoundaryError,
     InvariantError,
     MalformedFamilyError,
     NotAdmissibleError,
@@ -115,9 +113,6 @@ class Region:
     def down_count(self) -> int:
         return sum(1 for t in self.triangles if not t.up)
 
-    def to_json(self) -> dict:
-        return {"boundary": [[p.a, p.b] for p in self.boundary]}
-
 
 @dataclass(frozen=True)
 class Tiling:
@@ -188,7 +183,7 @@ def region_from_shape(shape: SkewShape) -> Region:
     far = [TriPoint(x + 1, y - 1) for x, y in pair.lambda_profile.vertices()]
     walk = tuple(near + far[::-1])
     if len(set(walk)) != len(walk):
-        raise DegenerateBoundaryError(
+        raise InvariantError(
             f"boundary walk revisits a vertex for shape {format_shape(shape)}"
         )
     triangles = _interior_triangles(walk)
@@ -324,6 +319,27 @@ def extract_family(tiling: Tiling, direction: str) -> RhombusPathFamily:
     return RhombusPathFamily(direction, tuple(chains))
 
 
+def _read_chain(direction: str, chain: tuple[Lozenge, ...]) -> tuple[TriPoint, str]:
+    """A chain's first entry key and its steps: the direction's first kind E, second N.
+
+    Re-walks the chain, so a lozenge of another kind, a lozenge that does not
+    enter where its predecessor leaves, or an empty chain is malformed.
+    """
+    east, north = _CHAIN_KINDS[direction]
+    if not chain:
+        raise MalformedFamilyError(f"empty {direction!r} chain")
+    for loz in chain:
+        if loz.kind not in (east, north):
+            raise MalformedFamilyError(f"kind {loz.kind} lozenge in a {direction!r} chain")
+    start = key = _side_keys(direction, chain[0])[0]
+    for loz in chain:
+        entry, leave = _side_keys(direction, loz)
+        if entry != key:
+            raise MalformedFamilyError(f"chain breaks at {loz}")
+        key = leave
+    return start, "".join(STEP_EAST if loz.kind == east else STEP_NORTH for loz in chain)
+
+
 def family_A_to_lattice_path(family: RhombusPathFamily) -> LatticePath:
     """Read the single "a"-direction chain as a monotone path: T2 -> E, T3 -> N.
 
@@ -337,17 +353,8 @@ def family_A_to_lattice_path(family: RhombusPathFamily) -> LatticePath:
         return LatticePath((0, 0), "")
     if len(family.paths) != 1:
         raise MalformedFamilyError(f"expected a single chain, got {len(family.paths)}")
-    chain = family.paths[0]
-    start = _side_keys("a", chain[0])[0]
-    key = start
-    steps = []
-    for loz in chain:
-        entry, leave = _side_keys("a", loz)
-        if entry != key:
-            raise MalformedFamilyError(f"chain breaks at {loz}")
-        steps.append(STEP_EAST if loz.kind == T2 else STEP_NORTH)
-        key = leave
-    return LatticePath((start.a, start.b), "".join(steps))
+    start, steps = _read_chain("a", family.paths[0])
+    return LatticePath((start.a, start.b), steps)
 
 
 def lattice_path_to_tiling(shape: SkewShape, path: LatticePath) -> Tiling:
@@ -385,11 +392,11 @@ def lattice_path_to_tiling(shape: SkewShape, path: LatticePath) -> Tiling:
     for t in sorted((t for t in rest if t.up), key=_triangle_key):
         partner = Triangle(t.a, t.b, False)
         if partner not in downs:
-            raise ComplementNotPairableError(f"no cell partner for {t}")
+            raise InvariantError(f"no cell partner for {t}")
         downs.remove(partner)
         lozenges.append(Lozenge(T1, t.a, t.b))
     if downs:
-        raise ComplementNotPairableError(f"unpaired triangles {sorted(downs)}")
+        raise InvariantError(f"unpaired triangles {sorted(downs)}")
     return Tiling(frozenset(lozenges))
 
 
@@ -409,16 +416,8 @@ def family_B_to_z2_paths(family: RhombusPathFamily, shape: SkewShape) -> PathFam
     config = gv_endpoints(shape)
     out = []
     for i, chain in enumerate(family.paths):
-        key = _side_keys("b", chain[0])[0]
-        start = (key.a + key.b - n, n - key.b)
-        steps = []
-        for loz in chain:
-            entry, leave = _side_keys("b", loz)
-            if entry != key:
-                raise MalformedFamilyError(f"chain breaks at {loz}")
-            steps.append(STEP_EAST if loz.kind == T1 else STEP_NORTH)
-            key = leave
-        path = LatticePath(start, "".join(steps))
+        key, steps = _read_chain("b", chain)
+        path = LatticePath((key.a + key.b - n, n - key.b), steps)
         if path.start != config.starts[i] or path.end != config.ends[i]:
             raise MalformedFamilyError(
                 f"chain {i + 1} runs {path.start}->{path.end}, "

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import skewcount
 import skewcount.cli as cli
 from skewcount.cli import main
 
@@ -289,8 +294,16 @@ class TestRender:
         assert err.startswith("error:")
 
     def test_bad_step_characters(self, capsys, tmp_path):
-        code, _, _ = run(capsys, "render", "1", "--path", "EX", "-o", str(tmp_path / "x.svg"))
-        assert code == 2
+        code, out, err = run(capsys, "render", "1", "--path", "EX", "-o", str(tmp_path / "x.svg"))
+        assert (code, out) == (2, "")
+        assert err == "error: path steps must be E or N, got ['X']\n"
+
+    @pytest.mark.parametrize("target", ["no/such/x.svg", "."], ids=["missing-dir", "a-dir"])
+    def test_unwritable_output(self, capsys, tmp_path, target):
+        target = tmp_path / target
+        code, out, err = run(capsys, "render", "2,1", "--tiling", "0", "-o", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
 
     def test_tiling_and_path_conflict(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -328,6 +341,20 @@ class TestStreaming:
         assert (code, err) == (0, "")
         first = " | ".join(f"({-k},{k}):NEEEEE" for k in range(1, 11))
         assert out.splitlines() == [first, "... truncated: showing 1 of 3003"]
+
+    def test_second_family_of_a_tall_box_is_quick(self):
+        # drawing item 2 once backtracked through every dead partial family;
+        # 5^12 took minutes that way, and a fraction of a second with the cut
+        shape = ",".join(["5"] * 12)
+        src = str(Path(skewcount.__file__).resolve().parents[1])
+        path = [p for p in (src, os.environ.get("PYTHONPATH")) if p]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        done = subprocess.run(
+            [sys.executable, "-m", "skewcount.cli", "enumerate", shape, "families", "--limit", "1"],
+            env=env, capture_output=True, text=True, timeout=20,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.splitlines()[-1] == "... truncated: showing 1 of 6188"
 
     def test_tiling_prefix_under_a_small_cap(self, capsys):
         code, out, err = run(capsys, "enumerate", "3,3,3", "tilings", "--limit", "2", "--cap", "5")

@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from skewcount.errors import CapExceededError, WrongEndpointsError
+from skewcount.errors import CapExceededError, ShapeError, WrongEndpointsError
 from skewcount.paths import (
     LatticePath,
     count_monotone,
     count_paths_dp,
     enumerate_paths,
     is_admissible,
-    iter_monotone_paths,
     path_from_north_record,
 )
 from skewcount.shapes import Partition, SkewShape, parse_shape, partitions_in_box, subpartitions
@@ -40,7 +39,7 @@ class TestLatticePath:
         assert LatticePath((0, 0), "EEE").north_xs() == ()
 
     def test_rejects_bad_steps(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError, match=r"path steps must be E or N, got \['X'\]"):
             LatticePath((0, 0), "ENX")
 
     def test_to_json(self):
@@ -161,13 +160,7 @@ class TestCountMonotone:
             assert count_monotone(a, b) == east + north
 
     def test_iter_matches_count(self):
-        a, b = (0, 0), (3, 2)
-        got = list(iter_monotone_paths(a, b))
+        # brute force: every E/N string of length 5, kept when it ends at b
+        a, b = (1, -1), (4, 1)
+        got = [s for s in itertools.product("EN", repeat=5) if LatticePath(a, "".join(s)).end == b]
         assert len(got) == count_monotone(a, b) == 10
-        assert len(set(got)) == len(got)
-        assert all(p.start == a and p.end == b for p in got)
-        # lexicographic by step string, E before N
-        assert [p.steps for p in got] == sorted(p.steps for p in got)
-
-    def test_iter_unreachable(self):
-        assert list(iter_monotone_paths((0, 0), (-1, 0))) == []

@@ -1,8 +1,10 @@
-"""Every ``$ skewcount ...`` example in README.md prints exactly what README shows.
+"""Every ``$ skewcount ...`` example in README.md prints exactly what README shows,
+and every ``python`` block of README runs.
 
 Each ``sh`` block line starting with ``$ skewcount`` is a command; the lines
 after it, up to the next ``$`` line or the end of the block, are its stdout.
 Route timings vary, so ``elapsed_ms`` is compared as README writes it, ``{...}``.
+The ``python`` blocks run in order in one namespace, as a reader would paste them.
 """
 
 import re
@@ -44,3 +46,11 @@ def test_readme_example(capsys, command, expected):
     out = re.sub(r'"elapsed_ms": \{[^{}]*\}', '"elapsed_ms": {...}', capsys.readouterr().out)
     assert code == 0
     assert out == expected
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    assert len(blocks) >= 2
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)

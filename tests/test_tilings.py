@@ -164,11 +164,6 @@ class TestRegion:
         assert expected == 20500
         assert region.up_count == region.down_count == expected
 
-    def test_to_json(self):
-        j = region_from_shape(HEXAGON).to_json()
-        assert j["boundary"][0] == [0, 0]
-        assert len(j["boundary"]) == 6
-
 
 class TestEnumerateTilings:
     def test_unit_hexagon_order(self):
@@ -352,6 +347,21 @@ class TestMalformedFamilies:
         family = RhombusPathFamily("a", ((Lozenge(T2, 1, -1), Lozenge(T3, 5, 5)),))
         with pytest.raises(MalformedFamilyError):
             family_A_to_lattice_path(family)
+
+    def test_lozenge_of_another_kind(self):
+        # a T1 cell has no v-parallel sides, so it cannot sit on an "a" chain
+        family = RhombusPathFamily("a", ((Lozenge(T2, 1, -1), Lozenge(T1, 0, 0)),))
+        with pytest.raises(MalformedFamilyError, match="kind 1"):
+            family_A_to_lattice_path(family)
+        family = RhombusPathFamily("b", ((Lozenge(T2, 1, -1),),))
+        with pytest.raises(MalformedFamilyError, match="kind 2"):
+            family_B_to_z2_paths(family, HEXAGON)
+
+    def test_empty_chain(self):
+        with pytest.raises(MalformedFamilyError):
+            family_A_to_lattice_path(RhombusPathFamily("a", ((),)))
+        with pytest.raises(MalformedFamilyError):
+            family_B_to_z2_paths(RhombusPathFamily("b", ((),)), HEXAGON)
 
     def test_shape_mismatch(self):
         tiling = enumerate_tilings(region_from_shape(parse_shape("2,2")))[0]
