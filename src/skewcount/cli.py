@@ -14,17 +14,8 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
-from itertools import islice
 
-from .errors import (
-    BadIndexError,
-    CapExceededError,
-    NotAdmissibleError,
-    ShapeError,
-    WrongEndpointsError,
-    capped,
-    count_capped,
-)
+from .errors import CapExceededError, InvariantError, ShapeError, capped, count_capped
 from .gv import gv_count, gv_endpoints, iter_disjoint_families
 from .kreweras import kreweras_count
 from .paths import LatticePath, count_paths_dp, iter_paths
@@ -41,14 +32,35 @@ from .tilings import iter_tilings, lattice_path_to_tiling, region_from_shape, re
 DEFAULT_CAP = 1_000_000
 CAP_ENV = "SKEWCOUNT_CAP"
 
-# every route, in verify's order; lambdas look names up at call time, so patches take effect
+# every search, built from a shape; the lambdas in these tables look names up
+# at call time, so patches take effect
+SEARCHES = {
+    "enum": lambda shape: iter_paths(shape),
+    "tilings": lambda shape: iter_tilings(region_from_shape(shape)),
+    "gv_enum": lambda shape: iter_disjoint_families(gv_endpoints(shape)),
+}
+
+# every route, in verify's order
 METHODS = {
     "det": lambda shape, cap: kreweras_count(shape),
     "dp": lambda shape, cap: count_paths_dp(shape),
-    "enum": lambda shape, cap: count_capped(iter_paths(shape), cap),
-    "tilings": lambda shape, cap: count_capped(iter_tilings(region_from_shape(shape)), cap),
-    "gv_enum": lambda shape, cap: count_capped(iter_disjoint_families(gv_endpoints(shape)), cap),
+    "enum": lambda shape, cap: count_capped(SEARCHES["enum"](shape), cap),
+    "tilings": lambda shape, cap: count_capped(SEARCHES["tilings"](shape), cap),
+    "gv_enum": lambda shape, cap: count_capped(SEARCHES["gv_enum"](shape), cap),
     "gv_det": lambda shape, cap: gv_count(gv_endpoints(shape)),
+}
+
+# enumerate's listings: what -> (search, one item as a text line)
+LISTINGS = {
+    "paths": ("enum", lambda p: p.steps),
+    "tilings": (
+        "tilings",
+        lambda t: " ".join(f"T{l.kind}({l.a},{l.b})" for l in t.sorted_lozenges()),
+    ),
+    "families": (
+        "gv_enum",
+        lambda f: " | ".join(f"({p.start[0]},{p.start[1]}):{p.steps}" for p in f.paths),
+    ),
 }
 
 # the shape-part grammar (ASCII digits, whitespace around them) plus a sign;
@@ -85,8 +97,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_one(text: str, cap: int) -> dict:
-    shape = parse_shape(text)
+def _verify_one(shape: SkewShape, cap: int) -> dict:
     counts = {}
     elapsed = {}
     for name, count in METHODS.items():
@@ -101,7 +112,7 @@ def _verify_one(text: str, cap: int) -> dict:
     }
 
 
-def _box_sweep(box_text: str) -> list[str]:
+def _box_sweep(box_text: str) -> list[SkewShape]:
     match = re.fullmatch(r"([0-9]+)[xX]([0-9]+)", box_text.strip())
     if not match:
         raise ShapeError(f"--box wants AxB, got {box_text!r}")
@@ -110,32 +121,33 @@ def _box_sweep(box_text: str) -> list[str]:
     except ValueError:  # more digits than int() converts
         side = max(match.groups(), key=len)
         raise ShapeError(f"--box side of {len(side)} digits is too long") from None
-    out = []
-    for lam in partitions_in_box(rows, cols):
-        for mu in subpartitions(lam):
-            out.append(format_shape(SkewShape(Partition(lam), Partition(mu))))
-    return out
+    return [
+        SkewShape(Partition(lam), Partition(mu))
+        for lam in partitions_in_box(rows, cols)
+        for mu in subpartitions(lam)
+    ]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.box and args.shapes:
         raise ShapeError("give either --box or explicit shapes, not both")
+    # every shape is parsed before any route runs, so bad input prints no report
     if args.box:
-        texts = _box_sweep(args.box)
+        shapes = _box_sweep(args.box)
     elif args.shapes:
-        texts = list(args.shapes)
+        shapes = [parse_shape(text) for text in args.shapes]
     else:
         raise ShapeError("nothing to verify: give shapes or --box AxB")
     jobs = _int_at_least("--jobs", args.jobs, 1)
     cap = _resolve_cap(args)
     # a pool forks all its workers at the first submit, so never ask for more
     # than there are shapes or CPUs
-    workers = min(jobs, len(texts), os.cpu_count() or 1)
+    workers = min(jobs, len(shapes), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            first_bad = _emit_reports(pool.map(partial(_verify_one, cap=cap), texts))
+            first_bad = _emit_reports(pool.map(partial(_verify_one, cap=cap), shapes))
     else:
-        first_bad = _emit_reports(_verify_one(t, cap) for t in texts)
+        first_bad = _emit_reports(_verify_one(shape, cap) for shape in shapes)
     if first_bad is not None:
         print(
             f"disagreement on {first_bad['shape']}: {first_bad['counts']}",
@@ -158,25 +170,22 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     shape = parse_shape(args.shape)
     cap = _resolve_cap(args)
     limit = None if args.limit is None else _int_at_least("--limit", args.limit, 0)
-    if args.what == "paths":
-        items = iter_paths(shape)
-        as_text = lambda p: p.steps
-    elif args.what == "tilings":
-        items = iter_tilings(region_from_shape(shape))
-        as_text = lambda t: " ".join(f"T{l.kind}({l.a},{l.b})" for l in t.sorted_lozenges())
-    else:
-        items = iter_disjoint_families(gv_endpoints(shape))
-        as_text = lambda f: " | ".join(f"({p.start[0]},{p.start[1]}):{p.steps}" for p in f.paths)
-    # one item past the limit tells whether to mark the listing truncated;
-    # everything is drawn before anything prints, so a cap error prints no item
-    drawn = list(islice(capped(items, cap), None if limit is None else limit + 1))
-    shown = drawn[:limit]
+    search, as_text = LISTINGS[args.what]
+    # one item past the limit tells whether to mark the listing truncated, and
+    # everything is drawn before anything prints, so a cap error prints no item;
+    # a loop, as islice takes no stop past sys.maxsize (no length equals a None limit)
+    shown, truncated = [], False
+    for item in capped(SEARCHES[search](shape), cap):
+        if len(shown) == limit:
+            truncated = True
+            break
+        shown.append(item)
     for item in shown:
         if args.fmt == "json":
             print(json.dumps(item.to_json(), sort_keys=True))
         else:
             print(as_text(item))
-    if len(shown) < len(drawn):
+    if truncated:
         total = count_paths_dp(shape)
         if args.fmt == "json":
             print(json.dumps({"truncated": True, "shown": len(shown), "total": total}))
@@ -189,12 +198,19 @@ def cmd_render(args: argparse.Namespace) -> int:
     shape = parse_shape(args.shape)
     region = region_from_shape(shape)
     if args.tiling is not None:
-        tilings = capped(iter_tilings(region), _resolve_cap(args))
+        cap = _resolve_cap(args)
         index = _int_at_least("--tiling", args.tiling, 0)
-        tiling = next(islice(tilings, index, None), None)
-        if tiling is None:
-            total = count_paths_dp(shape)
-            raise BadIndexError(f"tiling index {index} outside 0..{total - 1}")
+        total = count_paths_dp(shape)
+        if index >= total:
+            raise ShapeError(f"tiling index {index} outside 0..{total - 1}")
+        # drawing index + 1 tilings meets the cap exactly when index >= cap
+        if index >= cap:
+            raise CapExceededError(cap)
+        for i, tiling in enumerate(capped(iter_tilings(region), cap)):
+            if i == index:
+                break
+        else:
+            raise InvariantError(f"tiling search ended before index {index} of {total}")
     else:
         tiling = lattice_path_to_tiling(shape, LatticePath((0, 0), args.path))
     svg = render_svg(region, tiling, args.shade)
@@ -250,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list paths, tilings, or disjoint families")
     p.add_argument("shape")
-    p.add_argument("what", choices=("paths", "tilings", "families"))
+    p.add_argument("what", choices=LISTINGS)
     p.add_argument("--limit", default=None, metavar="K",
                    help="show at most K items, with a truncation marker")
     p.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
@@ -278,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ShapeError, BadIndexError, NotAdmissibleError, WrongEndpointsError) as exc:
+    except ShapeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

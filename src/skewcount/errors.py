@@ -1,5 +1,6 @@
 """Exception types shared across the library, and the one place a cap is enforced."""
 
+import sys
 from typing import Iterable, Iterator
 
 
@@ -23,6 +24,14 @@ class NotContainedError(ShapeError):
     """The inner partition is not contained in the outer one."""
 
 
+class NotAdmissibleError(ShapeError):
+    """Path is not contained between the shape's boundary profiles."""
+
+
+class WrongEndpointsError(NotAdmissibleError):
+    """Path endpoints do not match the shape's corners."""
+
+
 class NotSquareError(SkewCountError, ValueError):
     """Determinant requested for a non-square matrix."""
 
@@ -39,28 +48,25 @@ def capped(items: Iterable, cap: int | None) -> Iterator:
     """Yield the items, raising CapExceededError in place of item cap + 1.
 
     Draws from ``items`` only as the caller draws, so a consumer that stops
-    early never meets the cap. ``None`` means no cap.
+    early never meets the cap. ``None`` means no cap. The searches recurse
+    once per lozenge, path step or row, so a search too deep for Python's
+    recursion limit raises ShapeError here, the one place every search is drawn.
     """
-    if cap is None:
-        yield from items
-        return
-    for i, item in enumerate(items):
-        if i == cap:
-            raise CapExceededError(cap)
-        yield item
+    try:
+        for i, item in enumerate(items):
+            if i == cap:
+                raise CapExceededError(cap)
+            yield item
+    except RecursionError:
+        raise ShapeError(
+            f"shape too large to search: deeper than Python's recursion limit "
+            f"of {sys.getrecursionlimit()}"
+        ) from None
 
 
 def count_capped(items: Iterable, cap: int | None) -> int:
     """Number of items, drawn one at a time through :func:`capped` and dropped."""
     return sum(1 for _ in capped(items, cap))
-
-
-class WrongEndpointsError(SkewCountError, ValueError):
-    """Path endpoints do not match the shape's corners."""
-
-
-class NotAdmissibleError(SkewCountError, ValueError):
-    """Path is not contained between the shape's boundary profiles."""
 
 
 class MalformedFamilyError(SkewCountError, ValueError):
@@ -72,7 +78,3 @@ class InvariantError(SkewCountError, RuntimeError):
 
     Raised in place of ``assert`` so that the check also runs under ``python -O``.
     """
-
-
-class BadIndexError(SkewCountError, ValueError):
-    """Requested item index outside the enumerated range."""

@@ -41,10 +41,15 @@ class IntMatrix:
             raise ValueError(
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
             )
+        # no coercion: int() would take 2.5, "3" or True and give another determinant
+        kinds = set(map(type, self.entries)) - {int}
+        if kinds:
+            names = ", ".join(sorted(k.__name__ for k in kinds))
+            raise ValueError(f"matrix entries must be int, got {names}")
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "IntMatrix":
-        row_list = [tuple(int(x) for x in row) for row in rows]
+        row_list = [tuple(row) for row in rows]
         if not row_list:
             return cls(0, 0, ())
         cols = len(row_list[0])

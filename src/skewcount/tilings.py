@@ -38,7 +38,6 @@ from .errors import (
     InvariantError,
     MalformedFamilyError,
     NotAdmissibleError,
-    WrongEndpointsError,
     capped,
 )
 from .gv import PathFamily, gv_endpoints
@@ -138,7 +137,16 @@ class RhombusPathFamily:
     paths: tuple[tuple[Lozenge, ...], ...]
 
 
-_CHAIN_KINDS = {"a": (T2, T3), "b": (T1, T3), "c": (T1, T2)}
+# direction -> {kind: (entry, exit) offsets of its two direction-parallel sides
+# from the lozenge's key (a, b)}; a chain reads its first kind as E, its second
+# as N. A side's key names one unit segment: a v-side by its upper vertex, an
+# e2-side by its lower vertex, an e1-side by its left vertex. Lozenges sharing
+# a full side therefore share a key, which is what chains on.
+_CHAIN_SIDES = {
+    "a": {T2: ((-1, 1), (0, 1)), T3: ((0, 0), (0, 1))},
+    "b": {T1: ((0, 0), (1, 0)), T3: ((0, 0), (1, -1))},
+    "c": {T1: ((0, 0), (0, 1)), T2: ((0, 0), (-1, 1))},
+}
 
 
 def _interior_triangles(boundary: tuple[TriPoint, ...]) -> list[Triangle]:
@@ -253,31 +261,14 @@ def enumerate_tilings(region: Region, cap: int | None = None) -> list[Tiling]:
 
 
 def _side_keys(direction: str, loz: Lozenge) -> tuple[TriPoint, TriPoint]:
-    """(entry, exit) keys of a lozenge's two direction-parallel sides.
-
-    Each key names one unit segment: a v-side by its upper vertex, an
-    e2-side by its lower vertex, an e1-side by its left vertex. Lozenges
-    sharing a full side therefore share a key, which is what chains on.
-    """
-    a, b = loz.a, loz.b
-    if direction == "a":
-        if loz.kind == T2:
-            return (TriPoint(a - 1, b + 1), TriPoint(a, b + 1))
-        if loz.kind == T3:
-            return (TriPoint(a, b), TriPoint(a, b + 1))
-    elif direction == "b":
-        if loz.kind == T1:
-            return (TriPoint(a, b), TriPoint(a + 1, b))
-        if loz.kind == T3:
-            return (TriPoint(a, b), TriPoint(a + 1, b - 1))
-    elif direction == "c":
-        if loz.kind == T1:
-            return (TriPoint(a, b), TriPoint(a, b + 1))
-        if loz.kind == T2:
-            return (TriPoint(a, b), TriPoint(a - 1, b + 1))
-    else:
+    """(entry, exit) keys of a lozenge's two direction-parallel sides."""
+    sides = _CHAIN_SIDES.get(direction)
+    if sides is None:
         raise ValueError(f"unknown chain direction {direction!r}")
-    raise ValueError(f"kind {loz.kind} lozenges have no {direction!r}-parallel sides")
+    if loz.kind not in sides:
+        raise ValueError(f"kind {loz.kind} lozenges have no {direction!r}-parallel sides")
+    (ea, eb), (xa, xb) = sides[loz.kind]
+    return (TriPoint(loz.a + ea, loz.b + eb), TriPoint(loz.a + xa, loz.b + xb))
 
 
 def extract_family(tiling: Tiling, direction: str) -> RhombusPathFamily:
@@ -287,9 +278,9 @@ def extract_family(tiling: Tiling, direction: str) -> RhombusPathFamily:
     follows shared sides until it leaves the region. Every lozenge with
     sides of the direction lands on exactly one chain.
     """
-    if direction not in _CHAIN_KINDS:
+    if direction not in _CHAIN_SIDES:
         raise ValueError(f"unknown chain direction {direction!r}")
-    kinds = _CHAIN_KINDS[direction]
+    kinds = _CHAIN_SIDES[direction]
     by_entry: dict[TriPoint, Lozenge] = {}
     exits: set[TriPoint] = set()
     members = 0
@@ -325,7 +316,7 @@ def _read_chain(direction: str, chain: tuple[Lozenge, ...]) -> tuple[TriPoint, s
     Re-walks the chain, so a lozenge of another kind, a lozenge that does not
     enter where its predecessor leaves, or an empty chain is malformed.
     """
-    east, north = _CHAIN_KINDS[direction]
+    east, north = _CHAIN_SIDES[direction]
     if not chain:
         raise MalformedFamilyError(f"empty {direction!r} chain")
     for loz in chain:
@@ -364,11 +355,7 @@ def lattice_path_to_tiling(shape: SkewShape, path: LatticePath) -> Tiling:
     Lozenge(T3, a, b); the rest of the region splits uniquely into sheared
     cells (T1 lozenges).
     """
-    try:
-        ok = is_admissible(shape, path)
-    except WrongEndpointsError as exc:
-        raise NotAdmissibleError(str(exc)) from exc
-    if not ok:
+    if not is_admissible(shape, path):  # wrong corners raise WrongEndpointsError
         raise NotAdmissibleError(
             f"path {path.steps!r} leaves shape {format_shape(shape)}"
         )

@@ -17,6 +17,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_process(*argv, timeout=20):
+    """``python -m skewcount.cli ARGV...`` in a fresh interpreter, at its own stack depth."""
+    src = str(Path(skewcount.__file__).resolve().parents[1])
+    path = [p for p in (src, os.environ.get("PYTHONPATH")) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.run(
+        [sys.executable, "-m", "skewcount.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=timeout,
+    )
+
+
 class TestCount:
     @pytest.mark.parametrize("method", ["det", "dp", "enum", "tilings", "gv"])
     def test_methods_agree(self, capsys, method):
@@ -187,6 +198,13 @@ class TestVerify:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_bad_shape_stops_before_any_report(self, capsys, jobs):
+        # every shape is parsed before the first route runs
+        code, out, err = run(capsys, "verify", "2,1", "3,x", "--jobs", jobs)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestEnumerate:
     def test_paths_text(self, capsys):
@@ -346,13 +364,7 @@ class TestStreaming:
         # drawing item 2 once backtracked through every dead partial family;
         # 5^12 took minutes that way, and a fraction of a second with the cut
         shape = ",".join(["5"] * 12)
-        src = str(Path(skewcount.__file__).resolve().parents[1])
-        path = [p for p in (src, os.environ.get("PYTHONPATH")) if p]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-        done = subprocess.run(
-            [sys.executable, "-m", "skewcount.cli", "enumerate", shape, "families", "--limit", "1"],
-            env=env, capture_output=True, text=True, timeout=20,
-        )
+        done = run_process("enumerate", shape, "families", "--limit", "1")
         assert (done.returncode, done.stderr) == (0, "")
         assert done.stdout.splitlines()[-1] == "... truncated: showing 1 of 6188"
 
@@ -396,6 +408,71 @@ class TestStreaming:
         code, _, err = run(capsys, "render", "2,1", "--tiling", "5", "-o", str(tmp_path / "x.svg"))
         assert code == 2
         assert err == "error: tiling index 5 outside 0..4\n"
+
+    def test_render_out_of_range_never_draws(self, capsys, monkeypatch, tmp_path):
+        def no_search(region):
+            raise AssertionError("drew a tiling for an index out of range")
+
+        monkeypatch.setattr(cli, "iter_tilings", no_search)
+        code, _, err = run(capsys, "render", "2,1", "--tiling", "5", "-o", str(tmp_path / "x.svg"))
+        assert (code, err) == (2, "error: tiling index 5 outside 0..4\n")
+
+
+BIG = "99999999999999999999"  # past sys.maxsize, the largest stop islice takes
+
+
+class TestPastMaxsize:
+    def test_limit(self, capsys):
+        code, out, err = run(capsys, "enumerate", "2,1", "paths", "--limit", str(sys.maxsize))
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["NNEE", "NENE", "NEEN", "ENNE", "ENEN"]
+
+    def test_tiling_index_out_of_range(self, capsys, tmp_path):
+        code, out, err = run(capsys, "render", "2,1", "--tiling", BIG, "-o", str(tmp_path / "x.svg"))
+        assert (code, out) == (2, "")
+        assert err == f"error: tiling index {BIG} outside 0..4\n"
+
+    def test_tiling_index_past_the_cap(self, capsys, tmp_path):
+        # C(80, 40) tilings, so the index is in range; the cap is met before any draw
+        shape = ",".join(["40"] * 40)
+        out_file = tmp_path / "x.svg"
+        code, _, err = run(capsys, "render", shape, "--tiling", BIG, "--cap", "1", "-o", str(out_file))
+        assert (code, err) == (3, "error: enumeration exceeded cap of 1 items\n")
+        assert not out_file.exists()
+
+
+BOX_40 = ",".join(["40"] * 40)
+
+
+class TestDeepSearch:
+    """The searches recurse once per lozenge, path step or row; past Python's
+    recursion limit that is bad input (exit 2), not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(("enumerate", BOX_40, "tilings", "--limit", "1"), id="enumerate-tilings"),
+            pytest.param(("enumerate", BOX_40, "families", "--limit", "1"), id="enumerate-families"),
+            pytest.param(("count", BOX_40, "--method", "tilings"), id="count-tilings"),
+            pytest.param(("render", BOX_40, "--tiling", "0"), id="render-tiling"),
+            pytest.param(("enumerate", ",".join(["1"] * 1200), "paths", "--limit", "1"),
+                         id="enumerate-paths"),
+        ],
+    )
+    def test_too_deep_exits_2(self, capsys, tmp_path, argv):
+        out_file = tmp_path / "x.svg"
+        if argv[0] == "render":
+            argv = (*argv, "-o", str(out_file))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: shape too large to search") and err.count("\n") == 1
+        assert not out_file.exists()
+
+    def test_thirty_rows_of_thirty_still_search(self):
+        # a fresh interpreter: pytest's own frames would eat into the limit
+        done = run_process("enumerate", ",".join(["30"] * 30), "tilings", "--limit", "0")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == "... truncated: showing 0 of 118264581564861424\n"
 
 
 BAD_INTEGERS = [

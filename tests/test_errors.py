@@ -2,7 +2,13 @@ import itertools
 
 import pytest
 
-from skewcount.errors import CapExceededError, capped
+from skewcount.errors import (
+    CapExceededError,
+    NotAdmissibleError,
+    ShapeError,
+    WrongEndpointsError,
+    capped,
+)
 
 
 def counting(n):
@@ -42,3 +48,17 @@ class TestCapped:
         items, drawn = counting(100)
         assert list(itertools.islice(capped(items, cap), 2)) == [0, 1]
         assert drawn == [0, 1]
+
+    def test_too_deep_search_is_a_shape_error(self):
+        def deep(k):
+            yield from deep(k + 1)
+
+        with pytest.raises(ShapeError, match="recursion limit") as exc:
+            next(capped(deep(0), None))
+        assert "\n" not in str(exc.value)
+
+
+def test_bad_path_errors_are_shape_errors():
+    # the CLI maps exactly ShapeError to exit 2
+    assert issubclass(WrongEndpointsError, NotAdmissibleError)
+    assert issubclass(NotAdmissibleError, ShapeError)

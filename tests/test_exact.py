@@ -72,6 +72,15 @@ class TestIntMatrix:
         with pytest.raises(ValueError):
             IntMatrix.from_rows([[1, 2], [3]])
 
+    @pytest.mark.parametrize("bad", [2.5, "3", True], ids=["float", "str", "bool"])
+    def test_entries_must_be_int(self, bad):
+        # int() would take each of these and count another determinant
+        name = type(bad).__name__
+        with pytest.raises(ValueError, match=f"must be int, got {name}"):
+            IntMatrix.from_rows([[bad, 1], [1, 1]])
+        with pytest.raises(ValueError, match=f"must be int, got {name}"):
+            IntMatrix(2, 2, (bad, 1, 1, 1))
+
 
 class TestDetExact:
     def test_fixture_2x2(self):

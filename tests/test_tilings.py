@@ -20,6 +20,7 @@ from skewcount.tilings import (
     Tiling,
     Triangle,
     TriPoint,
+    _side_keys,
     enumerate_tilings,
     extract_family,
     family_A_to_lattice_path,
@@ -241,6 +242,29 @@ class TestChainExtraction:
     def test_unknown_direction(self):
         with pytest.raises(ValueError):
             extract_family(Tiling(frozenset()), "d")
+
+    @pytest.mark.parametrize("direction, unit", [("a", (1, -1)), ("b", (0, 1)), ("c", (1, 0))])
+    def test_side_keys_name_sides_of_the_lozenge(self, direction, unit):
+        # the table against lozenge_corners: a key names the unit segment from
+        # the key to key + unit, and a kind with no such side has no keys
+        for kind in (T1, T2, T3):
+            loz = Lozenge(kind, 3, 5)
+            corners = lozenge_corners(loz)
+            sides = set()
+            for p, q in zip(corners, corners[1:] + corners[:1]):
+                step = (q.a - p.a, q.b - p.b)
+                if step in (unit, (-unit[0], -unit[1])):
+                    sides.add(p if step == unit else q)
+            if not sides:
+                with pytest.raises(ValueError, match=f"kind {kind} lozenges have no"):
+                    _side_keys(direction, loz)
+                continue
+            entry, leave = _side_keys(direction, loz)
+            assert {entry, leave} == sides
+
+    def test_side_keys_unknown_direction(self):
+        with pytest.raises(ValueError, match="unknown chain direction 'd'"):
+            _side_keys("d", Lozenge(T1, 0, 0))
 
 
 class TestPathBijection:
