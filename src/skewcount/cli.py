@@ -7,16 +7,13 @@ Exit codes: 0 success (verify: all methods agree), 1 verify disagreement,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 from .errors import CapExceededError, InvariantError, ShapeError, capped, count_capped
-from .gv import gv_count, gv_endpoints, iter_disjoint_families
 from .kreweras import kreweras_count
 from .paths import LatticePath, count_paths_dp, iter_paths
 from .shapes import (
@@ -27,17 +24,38 @@ from .shapes import (
     partitions_in_box,
     subpartitions,
 )
-from .tilings import iter_tilings, lattice_path_to_tiling, region_from_shape, render_svg
 
 DEFAULT_CAP = 1_000_000
 CAP_ENV = "SKEWCOUNT_CAP"
 
-# every search, built from a shape; the lambdas in these tables look names up
-# at call time, so patches take effect
+# `gv`, `tilings`, `json` and the process pool are imported only by the routes
+# and commands that run them, which keeps them out of every other call's start-up.
+# The tables look names up at call time, so patches take effect.
+
+
+def _tiling_search(shape: SkewShape):
+    from .tilings import iter_tilings, region_from_shape
+
+    return iter_tilings(region_from_shape(shape))
+
+
+def _family_search(shape: SkewShape):
+    from .gv import gv_endpoints, iter_disjoint_families
+
+    return iter_disjoint_families(gv_endpoints(shape))
+
+
+def _gv_det(shape: SkewShape, cap: int | None) -> int:
+    from .gv import gv_count, gv_endpoints
+
+    return gv_count(gv_endpoints(shape))
+
+
+# every search, built from a shape
 SEARCHES = {
     "enum": lambda shape: iter_paths(shape),
-    "tilings": lambda shape: iter_tilings(region_from_shape(shape)),
-    "gv_enum": lambda shape: iter_disjoint_families(gv_endpoints(shape)),
+    "tilings": _tiling_search,
+    "gv_enum": _family_search,
 }
 
 # every route, in verify's order
@@ -47,7 +65,7 @@ METHODS = {
     "enum": lambda shape, cap: count_capped(SEARCHES["enum"](shape), cap),
     "tilings": lambda shape, cap: count_capped(SEARCHES["tilings"](shape), cap),
     "gv_enum": lambda shape, cap: count_capped(SEARCHES["gv_enum"](shape), cap),
-    "gv_det": lambda shape, cap: gv_count(gv_endpoints(shape)),
+    "gv_det": _gv_det,
 }
 
 # enumerate's listings: what -> (search, one item as a text line)
@@ -98,6 +116,10 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def _verify_one(shape: SkewShape, cap: int) -> dict:
+    # every route's module is loaded before the first clock starts, so
+    # elapsed_ms is route time only, in a pool worker too
+    from . import gv, tilings  # noqa: F401
+
     counts = {}
     elapsed = {}
     for name, count in METHODS.items():
@@ -144,6 +166,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # than there are shapes or CPUs
     workers = min(jobs, len(shapes), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             first_bad = _emit_reports(pool.map(partial(_verify_one, cap=cap), shapes))
     else:
@@ -158,6 +182,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _emit_reports(reports) -> dict | None:
+    import json
+
     first_bad = None
     for report in reports:
         print(json.dumps(report, sort_keys=True), flush=True)
@@ -167,6 +193,8 @@ def _emit_reports(reports) -> dict | None:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    import json
+
     shape = parse_shape(args.shape)
     cap = _resolve_cap(args)
     limit = None if args.limit is None else _int_at_least("--limit", args.limit, 0)
@@ -195,6 +223,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
+    from .tilings import iter_tilings, lattice_path_to_tiling, region_from_shape, render_svg
+
     shape = parse_shape(args.shape)
     region = region_from_shape(shape)
     if args.tiling is not None:

@@ -43,6 +43,10 @@ class CapExceededError(SkewCountError, RuntimeError):
         super().__init__(f"enumeration exceeded cap of {cap} items")
         self.cap = cap
 
+    def __reduce__(self):
+        # rebuilt from the cap, not from args (the message), on crossing a process pool
+        return type(self), (self.cap,)
+
 
 def capped(items: Iterable, cap: int | None) -> Iterator:
     """Yield the items, raising CapExceededError in place of item cap + 1.

@@ -180,35 +180,25 @@ def format_shape(shape: SkewShape) -> str:
 
 def partitions_in_box(rows: int, cols: int) -> list[tuple[int, ...]]:
     """All partitions with at most `rows` parts, each at most `cols`, sorted."""
-    out: list[tuple[int, ...]] = []
-
-    def go(prefix: list[int], limit: int, left: int) -> None:
-        out.append(tuple(prefix))
-        if left == 0:
-            return
-        for p in range(1, limit + 1):
-            prefix.append(p)
-            go(prefix, p, left - 1)
-            prefix.pop()
-
-    go([], cols, rows)
-    return sorted(out)
+    return subpartitions((cols,) * rows)
 
 
 def subpartitions(outer: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """All partitions contained in `outer`, sorted."""
+    """All partitions contained in `outer`, sorted.
+
+    A depth-first walk with an explicit stack, so a tall `outer` is no deeper
+    than a short one; each prefix comes before its extensions and smaller
+    next parts before larger ones, which is sorted order.
+    """
     outer = tuple(outer)
     out: list[tuple[int, ...]] = []
-
-    def go(prefix: list[int], i: int) -> None:
-        out.append(tuple(prefix))
-        if i >= len(outer):
-            return
-        limit = min(outer[i], prefix[-1] if prefix else outer[0] if outer else 0)
-        for p in range(1, limit + 1):
-            prefix.append(p)
-            go(prefix, i + 1)
-            prefix.pop()
-
-    go([], 0)
-    return sorted(set(out))
+    stack: list[tuple[int, ...]] = [()]
+    while stack:
+        prefix = stack.pop()
+        out.append(prefix)
+        i = len(prefix)
+        if i < len(outer):
+            limit = min(outer[i], prefix[-1]) if prefix else outer[0]
+            # pushed largest first, so the smallest is popped first
+            stack.extend(prefix + (p,) for p in range(limit, 0, -1))
+    return out

@@ -17,15 +17,19 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_process(*argv, timeout=20):
-    """``python -m skewcount.cli ARGV...`` in a fresh interpreter, at its own stack depth."""
+def run_python(*args, timeout=20):
+    """``python ARGS...`` in a fresh interpreter that imports this package."""
     src = str(Path(skewcount.__file__).resolve().parents[1])
     path = [p for p in (src, os.environ.get("PYTHONPATH")) if p]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     return subprocess.run(
-        [sys.executable, "-m", "skewcount.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=timeout,
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout,
     )
+
+
+def run_process(*argv, timeout=20):
+    """``python -m skewcount.cli ARGV...`` in a fresh interpreter, at its own stack depth."""
+    return run_python("-m", "skewcount.cli", *argv, timeout=timeout)
 
 
 class TestCount:
@@ -199,11 +203,58 @@ class TestVerify:
         assert err.startswith("error:")
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_cap_error_line(self, capsys, monkeypatch, jobs):
+        # two CPUs, so --jobs 2 runs a real pool, which pickles the error back
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        code, _, err = run(capsys, "verify", "3,2,1", "2,1", "--cap", "2", "--jobs", jobs)
+        assert (code, err) == (3, "error: enumeration exceeded cap of 2 items\n")
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_bad_shape_stops_before_any_report(self, capsys, jobs):
         # every shape is parsed before the first route runs
         code, out, err = run(capsys, "verify", "2,1", "3,x", "--jobs", jobs)
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+# runs the CLI, then prints which of the modules only some commands need were loaded
+LOADED = """
+import sys
+from skewcount import cli
+cli.main(sys.argv[1:])
+print([m for m in ("skewcount.gv", "skewcount.tilings", "concurrent.futures.process")
+       if m in sys.modules])
+"""
+
+# runs verify with the det route wrapped to record what was loaded when it first ran
+FIRST_ROUTE = """
+import sys
+from skewcount import cli
+det = cli.METHODS["det"]
+seen = []
+def probe(shape, cap):
+    seen.append("skewcount.tilings" in sys.modules)
+    return det(shape, cap)
+cli.METHODS["det"] = probe
+cli.main(["verify", "2,1"])
+print(seen[0])
+"""
+
+
+class TestImportBudget:
+    def test_det_count_loads_no_search_module(self):
+        result = run_python("-c", LOADED, "count", "9,7,6,2/3,1")
+        assert (result.returncode, result.stdout) == (0, "399\n[]\n")
+
+    def test_tilings_count_loads_tilings(self):
+        result = run_python("-c", LOADED, "count", "2,1", "--method", "tilings")
+        assert (result.returncode, result.stdout) == (0, "5\n['skewcount.gv', 'skewcount.tilings']\n")
+
+    def test_verify_loads_every_route_before_timing_one(self):
+        # an import inside the first route's clock would count toward its elapsed_ms
+        result = run_python("-c", FIRST_ROUTE)
+        assert result.returncode == 0
+        assert result.stdout.splitlines()[-1] == "True"
 
 
 class TestEnumerate:
@@ -413,7 +464,7 @@ class TestStreaming:
         def no_search(region):
             raise AssertionError("drew a tiling for an index out of range")
 
-        monkeypatch.setattr(cli, "iter_tilings", no_search)
+        monkeypatch.setattr("skewcount.tilings.iter_tilings", no_search)
         code, _, err = run(capsys, "render", "2,1", "--tiling", "5", "-o", str(tmp_path / "x.svg"))
         assert (code, err) == (2, "error: tiling index 5 outside 0..4\n")
 
@@ -558,7 +609,8 @@ class TestJobsClamp:
         ],
     )
     def test_workers_bounded(self, capsys, monkeypatch, cpus, targets, sizes):
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        # cli imports the pool class inside the parallel branch, at call time
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(FakePool, "sizes", [])
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         code, out, _ = run(capsys, "verify", *targets, "--jobs", "100000")

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 
@@ -62,3 +63,11 @@ def test_bad_path_errors_are_shape_errors():
     # the CLI maps exactly ShapeError to exit 2
     assert issubclass(WrongEndpointsError, NotAdmissibleError)
     assert issubclass(NotAdmissibleError, ShapeError)
+
+
+def test_cap_error_survives_pickling():
+    # a process pool pickles a worker's exception back to the parent
+    original = CapExceededError(2)
+    copy = pickle.loads(pickle.dumps(original))
+    assert str(copy) == str(original) == "enumeration exceeded cap of 2 items"
+    assert copy.cap == 2

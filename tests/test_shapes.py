@@ -157,3 +157,29 @@ def test_subpartitions_small():
 def test_subpartitions_count_of_square():
     # partitions inside a k x k square, counted two ways
     assert len(subpartitions((4, 4, 4, 4))) == len(partitions_in_box(4, 4)) == 70
+
+
+def recursive_partitions_under(bounds):
+    """Reference: every partition with part i at most bounds[i], by recursion, sorted."""
+    if not bounds:
+        return [()]
+    out = {()}
+    for first in range(1, bounds[0] + 1):
+        rest = tuple(min(b, first) for b in bounds[1:])
+        out.update((first, *tail) for tail in recursive_partitions_under(rest))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("rows", range(6))
+def test_walks_match_a_recursive_reference(rows):
+    for cols in range(6):
+        box = partitions_in_box(rows, cols)
+        assert box == recursive_partitions_under((cols,) * rows)
+        for lam in box:
+            assert subpartitions(lam) == recursive_partitions_under(lam)
+
+
+def test_tall_boxes_do_not_recurse():
+    # one call frame per row would pass Python's recursion limit of 1000
+    assert len(partitions_in_box(1500, 1)) == 1501
+    assert len(subpartitions((1,) * 1500)) == 1501
