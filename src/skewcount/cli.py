@@ -134,15 +134,43 @@ def _verify_one(shape: SkewShape, cap: int) -> dict:
     }
 
 
-def _box_sweep(box_text: str) -> list[SkewShape]:
+def _box_sides(box_text: str) -> tuple[int, int]:
     match = re.fullmatch(r"([0-9]+)[xX]([0-9]+)", box_text.strip())
     if not match:
         raise ShapeError(f"--box wants AxB, got {box_text!r}")
     try:
-        rows, cols = int(match.group(1)), int(match.group(2))
+        return int(match.group(1)), int(match.group(2))
     except ValueError:  # more digits than int() converts
         side = max(match.groups(), key=len)
         raise ShapeError(f"--box side of {len(side)} digits is too long") from None
+
+
+def _sweep_size(rows: int, cols: int, cap: int) -> int:
+    """The number of shapes a rows x cols box sweeps, or, once that is known
+    to exceed cap, a smaller number that already does.
+
+    A pair inner <= outer in the box is a plane partition in a rows x cols x 2
+    box, so the count is MacMahon's product of (i+j+1)/(i+j-1) over i <= rows,
+    j <= cols. Row i's factors telescope to (i+c)(i+c+1)/(i(i+1)), and the
+    first i rows give the count of an i x c box, an integer, so each step
+    divides exactly. Rows run over the shorter side (the count is symmetric),
+    where every row factor is at least 3, so the loop stops within a few
+    thousand rows of any cap.
+    """
+    short, c = sorted((rows, cols))
+    size = 1
+    for i in range(1, short + 1):
+        if size > cap:
+            break
+        size = size * (i + c) * (i + c + 1) // (i * (i + 1))
+    return size
+
+
+def _box_sweep(rows: int, cols: int, cap: int) -> list[SkewShape]:
+    """Every outer partition in the box with every inner one it contains,
+    or CapExceededError before any is built if there are more than cap."""
+    if _sweep_size(rows, cols, cap) > cap:
+        raise CapExceededError(cap)
     return [
         SkewShape(Partition(lam), Partition(mu))
         for lam in partitions_in_box(rows, cols)
@@ -155,13 +183,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ShapeError("give either --box or explicit shapes, not both")
     # every shape is parsed before any route runs, so bad input prints no report
     if args.box:
-        shapes = _box_sweep(args.box)
+        sides = _box_sides(args.box)
     elif args.shapes:
         shapes = [parse_shape(text) for text in args.shapes]
     else:
         raise ShapeError("nothing to verify: give shapes or --box AxB")
     jobs = _int_at_least("--jobs", args.jobs, 1)
     cap = _resolve_cap(args)
+    if args.box:
+        shapes = _box_sweep(*sides, cap)
     # a pool forks all its workers at the first submit, so never ask for more
     # than there are shapes or CPUs
     workers = min(jobs, len(shapes), os.cpu_count() or 1)

@@ -83,40 +83,64 @@ def iter_disjoint_families(config: GVConfig) -> Iterator[PathFamily]:
 
     Paths grow north first and stop at an occupied vertex, so families come in
     ascending north-record order; a family not pairing start i with end i raises InvariantError.
+
+    Built once per configuration, before the search: each end's last start
+    that can reach it, for the cut of partial families that cannot complete,
+    and integer vertex ids, so occupancy is a set of ints. A path's steps are
+    a list, joined once when the path is finished.
     """
-    used_ends = [False] * config.n
-    occupied: set[Point] = set()
+    n = config.n
+    starts, ends = config.starts, config.ends
+    identity = list(range(n))
+    # vertex (x, y) is y * width + x: a path's x runs from its start's to its
+    # end's, so every x lies among the width values from the leftmost start to
+    # the rightmost end, and ids are distinct
+    width = max((x for x, _ in ends), default=0) - min((x for x, _ in starts), default=0) + 1
+    last = [
+        max((i for i, (sx, sy) in enumerate(starts) if ex >= sx and ey >= sy), default=-1)
+        for ex, ey in ends
+    ]
+    used_ends = [False] * n
+    pairing: list[int] = []
+    occupied: set[int] = set()
 
     def place(paths: tuple[LatticePath, ...]) -> Iterator[PathFamily]:
-        if len(paths) == config.n:
-            if any(p.end != end for p, end in zip(paths, config.ends)):
+        k = len(paths)
+        if k == n:
+            if pairing != identity:
                 raise InvariantError(f"non-identity family {PathFamily(paths)}")
             yield PathFamily(paths)
             return
         # cut a branch that cannot complete: an unused end no remaining start can reach
-        rest = config.starts[len(paths):]
-        for used, (ex, ey) in zip(used_ends, config.ends):
-            if not used and not any(ex >= sx and ey >= sy for sx, sy in rest):
+        for j in range(n):
+            if last[j] < k and not used_ends[j]:
                 return
-        x, y = rest[0]
-        for j, (ex, ey) in enumerate(config.ends):
-            if not used_ends[j] and ex >= x and ey >= y:
+        sx, sy = starts[k]
+        for j, (ex, ey) in enumerate(ends):
+            if not used_ends[j] and ex >= sx and ey >= sy:
                 used_ends[j] = True
-                yield from grow(paths, x, y, ex, ey, "")
+                pairing.append(j)
+                yield from grow(paths, sy * width + sx, ex - sx, ey - sy, [])
+                pairing.pop()
                 used_ends[j] = False
 
-    def grow(paths: tuple, x: int, y: int, ex: int, ey: int, steps: str) -> Iterator[PathFamily]:
-        # the next path, having taken `steps`, enters (x, y) on its way to (ex, ey)
-        if (x, y) in occupied:
+    def grow(paths: tuple, v: int, east: int, north: int, steps: list[str]) -> Iterator[PathFamily]:
+        # the next path, having taken `steps`, enters vertex v with `east` and
+        # `north` steps still to take
+        if v in occupied:
             return
-        occupied.add((x, y))
-        if x == ex and y == ey:
-            yield from place(paths + (LatticePath(config.starts[len(paths)], steps),))
-        if y < ey:
-            yield from grow(paths, x, y + 1, ex, ey, steps + STEP_NORTH)
-        if x < ex:
-            yield from grow(paths, x + 1, y, ex, ey, steps + STEP_EAST)
-        occupied.discard((x, y))
+        occupied.add(v)
+        if not east and not north:
+            yield from place(paths + (LatticePath(starts[len(paths)], "".join(steps)),))
+        if north:
+            steps.append(STEP_NORTH)
+            yield from grow(paths, v + width, east, north - 1, steps)
+            steps.pop()
+        if east:
+            steps.append(STEP_EAST)
+            yield from grow(paths, v + 1, east - 1, north, steps)
+            steps.pop()
+        occupied.discard(v)
 
     return place(())
 

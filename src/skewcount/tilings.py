@@ -228,29 +228,38 @@ def iter_tilings(region: Region) -> Iterator[Tiling]:
     order, trying kinds T1, T2, T3; the output order is the search order.
     Deliberately knows nothing about paths, so it can serve as an oracle
     for the path-based counts.
+
+    The pairing table is built once, before the search: triangles are
+    numbered in search order, and each position lists the lozenges that
+    could cover it with the position of the partner each needs, keeping only
+    partners inside the region. The search then tracks coverage as one flag
+    per position.
     """
     order = sorted(region.triangles, key=_triangle_key)
-    present = region.triangles
-    covered: set[Triangle] = set()
+    position = {t: i for i, t in enumerate(order)}
+    options = [
+        tuple((loz, position[partner]) for loz, partner in _pairings(t) if partner in position)
+        for t in order
+    ]
+    covered = [False] * len(order)
     chosen: list[Lozenge] = []
 
     def go(start: int) -> Iterator[Tiling]:
         i = start
-        while i < len(order) and order[i] in covered:
+        while i < len(order) and covered[i]:
             i += 1
         if i == len(order):
             yield Tiling(frozenset(chosen))
             return
-        t = order[i]
-        covered.add(t)
-        for loz, partner in _pairings(t):
-            if partner in present and partner not in covered:
-                covered.add(partner)
+        covered[i] = True
+        for loz, j in options[i]:
+            if not covered[j]:
+                covered[j] = True
                 chosen.append(loz)
                 yield from go(i + 1)
                 chosen.pop()
-                covered.remove(partner)
-        covered.remove(t)
+                covered[j] = False
+        covered[i] = False
 
     return go(0)
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -184,6 +185,32 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--box", box)
         assert (code, out) == (2, "")
         assert err == "error: --box side of 5000 digits is too long\n"
+        # the side is read before the sweep's size is checked against the cap
+        assert run(capsys, "verify", "--box", box, "--cap", "0") == (code, out, err)
+
+    def test_box_past_the_cap_exits_before_any_shape(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--box", "30x30")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == "error: enumeration exceeded cap of 1000000 items\n"
+
+    @pytest.mark.parametrize("cap, code, reports", [("49", 3, 0), ("50", 0, 50)])
+    def test_box_sweep_size_meets_the_cap(self, capsys, cap, code, reports):
+        # the 2x3 box holds 50 shapes
+        got, out, _ = run(capsys, "verify", "--box", "2x3", "--cap", cap)
+        assert (got, len(out.splitlines())) == (code, reports)
+
+    def test_default_cap_admits_6x6_not_7x7(self):
+        assert cli._sweep_size(6, 6, cli.DEFAULT_CAP) == 226_512
+        assert cli._sweep_size(7, 7, 10**7) == 2_760_615
+        assert cli._sweep_size(7, 7, cli.DEFAULT_CAP) > cli.DEFAULT_CAP
+
+    @pytest.mark.parametrize("rows", range(6))
+    def test_sweep_size_counts_the_sweep(self, rows):
+        for cols in range(6):
+            shapes = cli._box_sweep(rows, cols, cli.DEFAULT_CAP)
+            assert cli._sweep_size(rows, cols, cli.DEFAULT_CAP) == len(shapes)
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one(self, capsys, jobs):
@@ -418,6 +445,13 @@ class TestStreaming:
         done = run_process("enumerate", shape, "families", "--limit", "1")
         assert (done.returncode, done.stderr) == (0, "")
         assert done.stdout.splitlines()[-1] == "... truncated: showing 1 of 6188"
+
+    def test_family_search_of_a_wide_row_holds_only_its_path(self, capsys):
+        # occupancy grows with the path, not with the configuration's bounding
+        # box: a row 10^9 wide meets the recursion limit, not a 2 GB table
+        code, out, err = run(capsys, "enumerate", "1000000000", "families", "--limit", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: shape too large to search") and err.count("\n") == 1
 
     def test_tiling_prefix_under_a_small_cap(self, capsys):
         code, out, err = run(capsys, "enumerate", "3,3,3", "tilings", "--limit", "2", "--cap", "5")

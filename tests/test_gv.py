@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given
 
 from skewcount.errors import CapExceededError, InvariantError
 from skewcount.exact import det_exact
@@ -9,10 +10,52 @@ from skewcount.gv import (
     gv_count,
     gv_endpoints,
     gv_matrix,
+    iter_disjoint_families,
 )
 from skewcount.kreweras import kreweras_count, kreweras_matrix
 from skewcount.paths import LatticePath, count_monotone
 from skewcount.shapes import Partition, SkewShape, parse_shape, partitions_in_box, subpartitions
+from test_kreweras import skew_shapes
+
+
+def set_search_families(config):
+    """Reference family search: the same growth order as iter_disjoint_families,
+    but with vertices as (x, y) pairs in a set, steps as strings extended at
+    every node, and reachability checked against the remaining starts at every
+    partial family."""
+    used_ends = [False] * config.n
+    occupied = set()
+
+    def place(paths):
+        if len(paths) == config.n:
+            if any(p.end != end for p, end in zip(paths, config.ends)):
+                raise InvariantError(f"non-identity family {PathFamily(paths)}")
+            yield PathFamily(paths)
+            return
+        rest = config.starts[len(paths):]
+        for used, (ex, ey) in zip(used_ends, config.ends):
+            if not used and not any(ex >= sx and ey >= sy for sx, sy in rest):
+                return
+        x, y = rest[0]
+        for j, (ex, ey) in enumerate(config.ends):
+            if not used_ends[j] and ex >= x and ey >= y:
+                used_ends[j] = True
+                yield from grow(paths, x, y, ex, ey, "")
+                used_ends[j] = False
+
+    def grow(paths, x, y, ex, ey, steps):
+        if (x, y) in occupied:
+            return
+        occupied.add((x, y))
+        if x == ex and y == ey:
+            yield from place(paths + (LatticePath(config.starts[len(paths)], steps),))
+        if y < ey:
+            yield from grow(paths, x, y + 1, ex, ey, steps + "N")
+        if x < ex:
+            yield from grow(paths, x + 1, y, ex, ey, steps + "E")
+        occupied.discard((x, y))
+
+    return place(())
 
 
 def test_endpoints_two_one():
@@ -105,6 +148,19 @@ class TestDisjointFamilies:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             enumerate_disjoint_families(gv_endpoints(parse_shape("2,1")), cap=2)
+
+    def test_matches_set_search_on_4x4_box(self):
+        for lam in partitions_in_box(4, 4):
+            for mu in subpartitions(lam):
+                config = gv_endpoints(SkewShape(Partition(lam), Partition(mu)))
+                assert list(iter_disjoint_families(config)) == list(set_search_families(config))
+
+    @given(skew_shapes(max_rows=6, max_width=6))
+    @example(parse_shape("2,1/2,1"))
+    @example(parse_shape("20,20,15,9,9,4,1/20,15,15,9,4,4"))
+    def test_matches_set_search_on_random_shapes(self, shape):
+        config = gv_endpoints(shape)
+        assert list(iter_disjoint_families(config)) == list(set_search_families(config))
 
 
 class TestPathFamily:

@@ -20,11 +20,13 @@ from skewcount.tilings import (
     Tiling,
     Triangle,
     TriPoint,
+    _pairings,
     _side_keys,
     enumerate_tilings,
     extract_family,
     family_A_to_lattice_path,
     family_B_to_z2_paths,
+    iter_tilings,
     lattice_path_to_tiling,
     lozenge_corners,
     lozenge_triangles,
@@ -75,6 +77,36 @@ def ray_cast_triangles(boundary):
                 if sum(num > px * den for num, den in crossings) % 2:
                     out.add(Triangle(a, b, up))
     return out
+
+
+def set_search_tilings(region):
+    """Reference tiling search: the same backtracking order as iter_tilings,
+    but with coverage as a set of triangles and each triangle's pairings
+    looked up at every node."""
+    order = sorted(region.triangles, key=lambda t: (t.b, t.a, 0 if t.up else 1))
+    present = region.triangles
+    covered = set()
+    chosen = []
+
+    def go(start):
+        i = start
+        while i < len(order) and order[i] in covered:
+            i += 1
+        if i == len(order):
+            yield Tiling(frozenset(chosen))
+            return
+        t = order[i]
+        covered.add(t)
+        for loz, partner in _pairings(t):
+            if partner in present and partner not in covered:
+                covered.add(partner)
+                chosen.append(loz)
+                yield from go(i + 1)
+                chosen.pop()
+                covered.remove(partner)
+        covered.remove(t)
+
+    return go(0)
 
 
 class TestGeometry:
@@ -196,6 +228,30 @@ class TestEnumerateTilings:
     def test_to_json_sorted(self):
         tiling = enumerate_tilings(region_from_shape(HEXAGON))[0]
         assert tiling.to_json() == {"lozenges": [[1, 0, 0], [2, 1, -1], [3, 1, 0]]}
+
+    def test_matches_set_search_on_4x4_box(self):
+        for shape in sweep(4, 4):
+            region = region_from_shape(shape)
+            assert list(iter_tilings(region)) == list(set_search_tilings(region)), shape
+
+    @given(skew_shapes(max_rows=6, max_width=6))
+    @example(parse_shape("2,1/2,1"))
+    @example(parse_shape("20,20,15,9,9,4,1/20,15,15,9,4,4"))
+    def test_matches_set_search_on_random_shapes(self, shape):
+        region = region_from_shape(shape)
+        assert list(iter_tilings(region)) == list(set_search_tilings(region))
+
+    def test_pairing_table_is_built_once(self, monkeypatch):
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return _pairings(t)
+
+        monkeypatch.setattr("skewcount.tilings._pairings", counted)
+        region = region_from_shape(parse_shape("7,7,6,5,4/3,2"))
+        assert sum(1 for _ in iter_tilings(region)) == 680
+        assert len(calls) == len(region.triangles) == 72
 
 
 class TestCensus:
