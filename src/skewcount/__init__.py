@@ -26,7 +26,7 @@ _SUBMODULE = {
             "GVConfig", "PathFamily", "enumerate_disjoint_families", "gv_count",
             "gv_endpoints", "gv_matrix",
         ),
-        "kreweras": ("KrewerasMatrix", "kreweras_count", "kreweras_matrix", "remove_empty_rows"),
+        "kreweras": ("kreweras_count", "kreweras_matrix", "remove_empty_rows"),
         "paths": (
             "LatticePath", "count_monotone", "count_paths_dp", "enumerate_paths",
             "is_admissible", "path_from_north_record",

@@ -16,14 +16,7 @@ from functools import partial
 from .errors import CapExceededError, InvariantError, ShapeError, capped, count_capped
 from .kreweras import kreweras_count
 from .paths import LatticePath, count_paths_dp, iter_paths
-from .shapes import (
-    Partition,
-    SkewShape,
-    format_shape,
-    parse_shape,
-    partitions_in_box,
-    subpartitions,
-)
+from .shapes import SkewShape, format_shape, parse_shape, partitions_in_box, subpartitions
 
 DEFAULT_CAP = 1_000_000
 CAP_ENV = "SKEWCOUNT_CAP"
@@ -172,7 +165,7 @@ def _box_sweep(rows: int, cols: int, cap: int) -> list[SkewShape]:
     if _sweep_size(rows, cols, cap) > cap:
         raise CapExceededError(cap)
     return [
-        SkewShape(Partition(lam), Partition(mu))
+        SkewShape(lam, mu)
         for lam in partitions_in_box(rows, cols)
         for mu in subpartitions(lam)
     ]
@@ -256,7 +249,8 @@ def cmd_render(args: argparse.Namespace) -> int:
     from .tilings import iter_tilings, lattice_path_to_tiling, region_from_shape, render_svg
 
     shape = parse_shape(args.shape)
-    region = region_from_shape(shape)
+    # each branch checks its input before it builds the region, so a bad index
+    # or path on a large shape exits 2 without allocating one
     if args.tiling is not None:
         cap = _resolve_cap(args)
         index = _int_at_least("--tiling", args.tiling, 0)
@@ -266,6 +260,7 @@ def cmd_render(args: argparse.Namespace) -> int:
         # drawing index + 1 tilings meets the cap exactly when index >= cap
         if index >= cap:
             raise CapExceededError(cap)
+        region = region_from_shape(shape)
         for i, tiling in enumerate(capped(iter_tilings(region), cap)):
             if i == index:
                 break
@@ -273,6 +268,7 @@ def cmd_render(args: argparse.Namespace) -> int:
             raise InvariantError(f"tiling search ended before index {index} of {total}")
     else:
         tiling = lattice_path_to_tiling(shape, LatticePath((0, 0), args.path))
+        region = region_from_shape(shape)
     svg = render_svg(region, tiling, args.shade)
     try:
         with open(args.output, "w", encoding="utf-8") as fh:

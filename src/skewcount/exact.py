@@ -7,9 +7,8 @@ point is used anywhere on a counting code path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import NotSquareError
 
@@ -26,26 +25,23 @@ def binomial(top: int, bottom: int) -> int:
     return math.comb(top, bottom)
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(NamedTuple("IntMatrix", [("rows", int), ("cols", int), ("entries", tuple)])):
     """Immutable row-major integer matrix."""
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __new__(cls, rows: int, cols: int, entries: tuple[int, ...]) -> "IntMatrix":
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
+        if len(entries) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
         # no coercion: int() would take 2.5, "3" or True and give another determinant
-        kinds = set(map(type, self.entries)) - {int}
+        kinds = set(map(type, entries)) - {int}
         if kinds:
             names = ", ".join(sorted(k.__name__ for k in kinds))
             raise ValueError(f"matrix entries must be int, got {names}")
+        return super().__new__(cls, rows, cols, entries)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "IntMatrix":

@@ -10,9 +10,8 @@ validates that at desk scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import InvariantError, capped
 from .exact import IntMatrix, det_exact
@@ -20,24 +19,23 @@ from .paths import STEP_EAST, STEP_NORTH, LatticePath, Point, count_monotone
 from .shapes import SkewShape
 
 
-@dataclass(frozen=True)
-class GVConfig:
+class GVConfig(NamedTuple("GVConfig", [("starts", tuple), ("ends", tuple)])):
     """Start and end point sequences; starts[i] pairs with ends[i] under identity."""
 
-    starts: tuple[Point, ...]
-    ends: tuple[Point, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self) -> None:
-        if len(self.starts) != len(self.ends):
+    def __new__(cls, starts: tuple[Point, ...], ends: tuple[Point, ...]) -> "GVConfig":
+        if len(starts) != len(ends):
             raise ValueError("starts and ends differ in length")
+        return super().__new__(cls, starts, ends)
 
     @property
     def n(self) -> int:
         return len(self.starts)
 
 
-@dataclass(frozen=True)
-class PathFamily:
+class PathFamily(NamedTuple):
     """A tuple of monotone paths, one per start point."""
 
     paths: tuple[LatticePath, ...]

@@ -12,35 +12,27 @@ O(n^2) expansion (`det_hessenberg`), not an O(n^3) elimination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvariantError
 from .exact import IntMatrix, binomial, det_hessenberg
-from .shapes import Partition, SkewShape
+from .shapes import SkewShape
 
 
-@dataclass(frozen=True)
-class KrewerasMatrix:
-    shape: SkewShape
-    matrix: IntMatrix
-
-
-def kreweras_matrix(shape: SkewShape) -> KrewerasMatrix:
+def kreweras_matrix(shape: SkewShape) -> IntMatrix:
     """The n x n binomial matrix of the shape (0x0 when the shape is empty)."""
     n = shape.n
-    outer = shape.outer.parts
-    inner = shape.inner.parts + (0,) * (n - len(shape.inner))
+    outer = shape.outer
+    inner = shape.inner + (0,) * (n - len(shape.inner))
     entries = tuple(
         binomial(outer[j] - inner[i] + 1, j - i + 1) if j >= i - 1 else 0
         for i in range(n)
         for j in range(n)
     )
-    return KrewerasMatrix(shape, IntMatrix(n, n, entries))
+    return IntMatrix(n, n, entries)
 
 
 def kreweras_count(shape: SkewShape) -> int:
     """N(outer/inner) as the exact determinant of the binomial matrix."""
-    value = det_hessenberg(kreweras_matrix(shape).matrix)
+    value = det_hessenberg(kreweras_matrix(shape))
     # the determinant counts paths, so a negative value means a convention bug
     if value < 0:
         raise InvariantError(f"negative path count {value} for {shape}")
@@ -54,7 +46,4 @@ def remove_empty_rows(shape: SkewShape) -> SkewShape:
         for i in range(shape.n)
         if shape.outer.part(i) != shape.inner.part(i)
     ]
-    return SkewShape(
-        Partition(tuple(o for o, _ in kept)),
-        Partition(tuple(i for _, i in kept)),
-    )
+    return SkewShape(tuple(o for o, _ in kept), tuple(i for _, i in kept))

@@ -8,8 +8,7 @@ increasing sequence of x-coordinates of its north steps, read bottom-up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .errors import ShapeError, WrongEndpointsError, capped
 from .exact import binomial
@@ -23,17 +22,17 @@ STEP_EAST = "E"
 STEP_NORTH = "N"
 
 
-@dataclass(frozen=True)
-class LatticePath:
+class LatticePath(NamedTuple("LatticePath", [("start", Point), ("steps", str)])):
     """Monotone E/N path with integer start point; steps is a string over {E, N}."""
 
-    start: Point
-    steps: str
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self) -> None:
-        bad = set(self.steps) - {STEP_EAST, STEP_NORTH}
+    def __new__(cls, start: Point, steps: str) -> "LatticePath":
+        bad = set(steps) - {STEP_EAST, STEP_NORTH}
         if bad:
             raise ShapeError(f"path steps must be E or N, got {sorted(bad)}")
+        return super().__new__(cls, start, steps)
 
     @property
     def end(self) -> Point:

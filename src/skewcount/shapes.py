@@ -10,8 +10,7 @@ between them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, NamedTuple
 
 from .errors import (
     NegativePartError,
@@ -24,14 +23,15 @@ from .paths import LatticePath, path_from_north_record
 _DIGITS = re.compile(r"[0-9]+")
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(tuple):
     """Weakly decreasing tuple of nonnegative parts; trailing zeros are trimmed."""
 
-    parts: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        parts = tuple(self.parts)
+    def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
+        if type(parts) is cls:  # already checked and trimmed
+            return parts
+        parts = tuple(parts)
         for p in parts:
             # no coercion: int() would take 2.5, "3" or True and count a different shape
             if type(p) is not int:
@@ -43,50 +43,46 @@ class Partition:
                 raise NonMonotoneError(f"parts not weakly decreasing: {parts}")
         while parts and parts[-1] == 0:
             parts = parts[:-1]
-        object.__setattr__(self, "parts", parts)
+        return super().__new__(cls, parts)
 
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
+    @property
+    def parts(self) -> tuple[int, ...]:
+        """The parts as a plain tuple."""
+        return tuple(self)
 
     @property
     def size(self) -> int:
         """Total number of cells."""
-        return sum(self.parts)
+        return sum(self)
 
     @property
     def width(self) -> int:
         """First (largest) part, 0 for the empty partition."""
-        return self.parts[0] if self.parts else 0
+        return self[0] if self else 0
 
     def part(self, i: int) -> int:
         """0-based part access, zero-padded beyond the last part."""
-        return self.parts[i] if 0 <= i < len(self.parts) else 0
+        return self[i] if 0 <= i < len(self) else 0
 
 
-@dataclass(frozen=True)
-class SkewShape:
+class SkewShape(NamedTuple("SkewShape", [("outer", Partition), ("inner", Partition)])):
     """A pair of partitions inner ⊆ outer; rows are counted by the outer one."""
 
-    outer: Partition
-    inner: Partition = Partition()
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self) -> None:
-        outer = self.outer if isinstance(self.outer, Partition) else Partition(tuple(self.outer))
-        inner = self.inner if isinstance(self.inner, Partition) else Partition(tuple(self.inner))
+    def __new__(cls, outer: Iterable[int], inner: Iterable[int] = ()) -> "SkewShape":
+        outer, inner = Partition(outer), Partition(inner)
         if len(inner) > len(outer):
             raise NotContainedError(
                 f"inner partition {inner.parts} has more rows than outer {outer.parts}"
             )
         for i in range(len(inner)):
-            if inner.part(i) > outer.part(i):
+            if inner[i] > outer[i]:
                 raise NotContainedError(
-                    f"row {i + 1}: inner part {inner.part(i)} exceeds outer {outer.part(i)}"
+                    f"row {i + 1}: inner part {inner[i]} exceeds outer {outer[i]}"
                 )
-        object.__setattr__(self, "outer", outer)
-        object.__setattr__(self, "inner", inner)
+        return super().__new__(cls, outer, inner)
 
     @property
     def n(self) -> int:
@@ -110,8 +106,7 @@ class SkewShape:
         )
 
 
-@dataclass(frozen=True)
-class ProfilePair:
+class ProfilePair(NamedTuple):
     """The shape's two boundary paths; both run from (0, 0) to (width, n)."""
 
     mu_profile: LatticePath

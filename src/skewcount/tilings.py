@@ -31,7 +31,6 @@ sweeps when the boundary is pulled apart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .errors import (
@@ -97,8 +96,7 @@ def lozenge_corners(loz: Lozenge) -> tuple[TriPoint, TriPoint, TriPoint, TriPoin
     raise ValueError(f"unknown lozenge kind {loz.kind}")
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     """A boundary polygon (closed implicitly) and the unit triangles inside it."""
 
     boundary: tuple[TriPoint, ...]
@@ -113,8 +111,7 @@ class Region:
         return sum(1 for t in self.triangles if not t.up)
 
 
-@dataclass(frozen=True)
-class Tiling:
+class Tiling(NamedTuple):
     lozenges: frozenset[Lozenge]
 
     def sorted_lozenges(self) -> list[Lozenge]:
@@ -124,8 +121,7 @@ class Tiling:
         return {"lozenges": [[loz.kind, loz.a, loz.b] for loz in self.sorted_lozenges()]}
 
 
-@dataclass(frozen=True)
-class RhombusPathFamily:
+class RhombusPathFamily(NamedTuple):
     """Chains of lozenges crossing sides of one fixed direction.
 
     direction "a" chains cross the v-parallel sides (kinds T2/T3), "b" the

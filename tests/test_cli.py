@@ -244,14 +244,17 @@ class TestVerify:
         assert err.startswith("error:") and err.count("\n") == 1
 
 
-# runs the CLI, then prints which of the modules only some commands need were loaded
+# runs the CLI, then prints which of the named modules were loaded
 LOADED = """
 import sys
 from skewcount import cli
 cli.main(sys.argv[1:])
-print([m for m in ("skewcount.gv", "skewcount.tilings", "concurrent.futures.process")
-       if m in sys.modules])
+print([m for m in {modules!r} if m in sys.modules])
 """
+# LOADED for the modules only some commands need
+ROUTES_LOADED = LOADED.format(
+    modules=("skewcount.gv", "skewcount.tilings", "concurrent.futures.process")
+)
 
 # runs verify with the det route wrapped to record what was loaded when it first ran
 FIRST_ROUTE = """
@@ -270,12 +273,28 @@ print(seen[0])
 
 class TestImportBudget:
     def test_det_count_loads_no_search_module(self):
-        result = run_python("-c", LOADED, "count", "9,7,6,2/3,1")
+        result = run_python("-c", ROUTES_LOADED, "count", "9,7,6,2/3,1")
         assert (result.returncode, result.stdout) == (0, "399\n[]\n")
 
     def test_tilings_count_loads_tilings(self):
-        result = run_python("-c", LOADED, "count", "2,1", "--method", "tilings")
+        result = run_python("-c", ROUTES_LOADED, "count", "2,1", "--method", "tilings")
         assert (result.returncode, result.stdout) == (0, "5\n['skewcount.gv', 'skewcount.tilings']\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "9,7,6,2/3,1"],
+            ["verify", "2,1"],
+            ["enumerate", "2,1", "families"],
+            ["render", "2,1", "--path", "NENE", "-o", os.devnull],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_no_command_loads_dataclasses(self, argv):
+        # dataclasses, with the inspect it imports, costs 10-13 ms of start-up
+        result = run_python("-c", LOADED.format(modules=("dataclasses", "inspect")), *argv)
+        assert result.returncode == 0
+        assert result.stdout.splitlines()[-1] == "[]"
 
     def test_verify_loads_every_route_before_timing_one(self):
         # an import inside the first route's clock would count toward its elapsed_ms
@@ -388,6 +407,16 @@ class TestRender:
         code, _, err = run(capsys, "render", "2,1", "--path", "EENN", "-o", str(tmp_path / "x.svg"))
         assert code == 2
         assert err.startswith("error:")
+
+    def test_path_is_checked_before_the_region_is_built(self, capsys, tmp_path, monkeypatch):
+        # the region of a 10^7-wide row would not fit in memory
+        def build(shape):
+            pytest.fail("region built before the path was checked")
+
+        monkeypatch.setattr("skewcount.tilings.region_from_shape", build)
+        code, out, err = run(capsys, "render", "10000000", "--path", "E", "-o", str(tmp_path / "x.svg"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_bad_step_characters(self, capsys, tmp_path):
         code, out, err = run(capsys, "render", "1", "--path", "EX", "-o", str(tmp_path / "x.svg"))

@@ -75,13 +75,13 @@ def test_entry_identity_explicit():
     # start 1 to end 1 of shape 2,1: three monotone paths, matching entry (1,1)
     assert count_monotone((-1, 1), (1, 2)) == 3
     km = kreweras_matrix(parse_shape("2,1"))
-    assert km.matrix.entry(0, 0) == 3
+    assert km.entry(0, 0) == 3
 
 
 def test_matrix_equals_binomial_matrix():
     for text in ["2,1", "9,7,6,2/3,1", "3,1/2", "2,2,2/1"]:
         shape = parse_shape(text)
-        assert gv_matrix(gv_endpoints(shape)).entries == kreweras_matrix(shape).matrix.entries
+        assert gv_matrix(gv_endpoints(shape)).entries == kreweras_matrix(shape).entries
 
 
 def test_matrix_empty():

@@ -29,21 +29,21 @@ BIG_MATRIX = [
 
 def test_matrix_two_one():
     km = kreweras_matrix(parse_shape("2,1"))
-    assert km.matrix.row_lists() == [[3, 1], [1, 2]]
+    assert km.row_lists() == [[3, 1], [1, 2]]
 
 
 def test_matrix_single_cell():
-    assert kreweras_matrix(parse_shape("1")).matrix.row_lists() == [[2]]
+    assert kreweras_matrix(parse_shape("1")).row_lists() == [[2]]
 
 
 def test_matrix_empty_shape():
-    m = kreweras_matrix(parse_shape("0")).matrix
+    m = kreweras_matrix(parse_shape("0"))
     assert (m.rows, m.cols) == (0, 0)
 
 
 def test_matrix_big_fixture():
     km = kreweras_matrix(parse_shape(BIG_SHAPE))
-    assert km.matrix.row_lists() == BIG_MATRIX
+    assert km.row_lists() == BIG_MATRIX
 
 
 def test_count_examples():
@@ -62,7 +62,7 @@ def test_count_big_fixture():
 def test_empty_inner_entry_reduction():
     for lam in [(3,), (3, 2), (4, 2, 1), (2, 2, 2)]:
         s = SkewShape(Partition(lam))
-        m = kreweras_matrix(s).matrix
+        m = kreweras_matrix(s)
         n = s.n
         for i in range(n):
             for j in range(n):
@@ -106,7 +106,7 @@ def skew_shapes(draw, max_rows=60, max_width=60):
 
 @given(skew_shapes())
 def test_hessenberg_equals_bareiss_equals_dp(shape):
-    m = kreweras_matrix(shape).matrix
+    m = kreweras_matrix(shape)
     assert det_hessenberg(m) == det_exact(m) == count_paths_dp(shape)
 
 
