@@ -223,21 +223,22 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     limit = None if args.limit is None else _int_at_least("--limit", args.limit, 0)
     search, as_text = LISTINGS[args.what]
     # one item past the limit tells whether to mark the listing truncated, and
-    # everything is drawn before anything prints, so a cap error prints no item;
-    # a loop, as islice takes no stop past sys.maxsize (no length equals a None limit)
+    # everything is drawn and the total counted before anything prints, so a
+    # cap or size error prints no item; a loop, as islice takes no stop past
+    # sys.maxsize (no length equals a None limit)
     shown, truncated = [], False
     for item in capped(SEARCHES[search](shape), cap):
         if len(shown) == limit:
             truncated = True
             break
         shown.append(item)
+    total = count_paths_dp(shape)
     for item in shown:
         if args.fmt == "json":
             print(json.dumps(item.to_json(), sort_keys=True))
         else:
             print(as_text(item))
     if truncated:
-        total = count_paths_dp(shape)
         if args.fmt == "json":
             print(json.dumps({"truncated": True, "shown": len(shown), "total": total}))
         else:

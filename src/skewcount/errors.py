@@ -68,6 +68,19 @@ def capped(items: Iterable, cap: int | None) -> Iterator:
         ) from None
 
 
+# Sizes past which a route refuses a shape before it allocates for it. A region
+# costs about 330 B a lozenge, and at 200,000 lozenges `render --path` already
+# takes about 7 s and writes 34 MB; `dp` sweeps a row of width + 1 ints per row.
+MAX_REGION_LOZENGES = 200_000
+MAX_DP_CELLS = 10_000_000
+
+
+def check_size(size: int, limit: int, unit: str) -> None:
+    """Raise ShapeError, naming both numbers, if size is past limit."""
+    if size > limit:
+        raise ShapeError(f"shape too large: {size} {unit}, past the limit of {limit}")
+
+
 def count_capped(items: Iterable, cap: int | None) -> int:
     """Number of items, drawn one at a time through :func:`capped` and dropped."""
     return sum(1 for _ in capped(items, cap))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from .errors import ShapeError, WrongEndpointsError, capped
+from .errors import MAX_DP_CELLS, ShapeError, WrongEndpointsError, capped, check_size
 from .exact import binomial
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -131,8 +131,10 @@ def enumerate_paths(shape: "SkewShape", cap: int | None = None) -> list[LatticeP
 def count_paths_dp(shape: "SkewShape") -> int:
     """Number of admissible paths, by a row-by-row prefix-sum recurrence.
 
-    Runs in O(n * width) time and never enumerates paths, so it has no cap.
+    Runs in O(n * width) time and never enumerates paths, so it has no cap;
+    a shape of more than ``MAX_DP_CELLS`` cells n * (width + 1) is a ShapeError.
     """
+    check_size(shape.n * (shape.width + 1), MAX_DP_CELLS, "dp cells")
     bounds = shape.north_step_bounds()
     if not bounds:
         return 1

@@ -34,10 +34,12 @@ import math
 from typing import Iterator, NamedTuple
 
 from .errors import (
+    MAX_REGION_LOZENGES,
     InvariantError,
     MalformedFamilyError,
     NotAdmissibleError,
     capped,
+    check_size,
 )
 from .gv import PathFamily, gv_endpoints
 from .paths import STEP_EAST, STEP_NORTH, LatticePath, is_admissible
@@ -145,41 +147,27 @@ _CHAIN_SIDES = {
 }
 
 
-def _interior_triangles(boundary: tuple[TriPoint, ...]) -> list[Triangle]:
-    # even-odd scanline over any lattice polygon. The chart (a, b) -> (2a + b, b)
-    # is linear and injective, so containment transfers; scaled by 3, row b's
-    # centroids are integral, UP(a, b) at (6a + 3b + 3, 3b + 1) and DOWN(a, b)
-    # at (6a + 3b + 6, 3b + 2), and those heights never meet a vertex height
-    # (0 mod 3). So an edge from height b1 to b2 > b1 crosses both scan lines
-    # of rows b1..b2-1 cleanly. Each crossing is cut down, by exact floor
-    # division, to (first a whose centroid lies right of it, last a whose
-    # centroid lies left of it); that pair sorts crossings as finely as any
-    # centroid can see, and a centroid strictly between crossings 2k and 2k+1
-    # of its line is inside. O(edges + triangles), integers only.
-    lines: dict[tuple[int, bool], list[tuple[int, int]]] = {}
-    for p, q in zip(boundary, boundary[1:] + boundary[:1]):
-        if p.b == q.b:
-            continue
-        if p.b > q.b:
-            p, q = q, p
-        dx, dy = 6 * (q.a - p.a) + 3 * (q.b - p.b), 3 * (q.b - p.b)
-        for b in range(p.b, q.b):
-            for up, h, c in ((True, 1, 3), (False, 2, 6)):
-                # dy * (crossing x - x of the line's a = 0 centroid); a steps by 6
-                num = (6 * p.a + 3 * (p.b - b) - c) * dy + (3 * (b - p.b) + h) * dx
-                cuts = lines.setdefault((b, up), [])
-                cuts.append((num // (6 * dy) + 1, -(-num // (6 * dy)) - 1))
+def _interior_triangles(bounds: tuple[tuple[int, int], ...], width: int) -> list[Triangle]:
+    # row b, between heights b and b+1, runs from the inner profile's north step
+    # b+1 to the pushed outer profile's step b+2; the v-edges that close the walk,
+    # (1,-1)-(0,0) and (width+1,n-1)-(width,n), take the first UP out of the
+    # bottom row b = -1 and add one UP to the end of the top row b = n-1
+    n = len(bounds)
+    firsts = (0, *(lo for lo, _ in bounds))
+    lasts = (*(hi for _, hi in bounds), width - 1)
     out = []
-    for (b, up), cuts in lines.items():
-        cuts.sort()
-        for (first, _), (_, last) in zip(cuts[::2], cuts[1::2]):
-            out.extend(Triangle(a, b, up) for a in range(first, last + 1))
+    for b, first, last in zip(range(-1, n), firsts, lasts):
+        out.extend(Triangle(a, b, False) for a in range(first, last + 1))
+        out.extend(Triangle(a, b, True) for a in range(first + (b == -1), last + (b == n - 1) + 1))
     return out
 
 
 def region_from_shape(shape: SkewShape) -> Region:
     """The tiling region of a shape: inner profile, then the outer profile
-    pushed one unit along v, walked as a closed polygon."""
+    pushed one unit along v, walked as a closed polygon, with its triangles
+    read row by row between the two profiles' north steps. A shape of more
+    than ``MAX_REGION_LOZENGES`` lozenges is a ShapeError, raised up front."""
+    check_size(shape.m + shape.width + shape.n, MAX_REGION_LOZENGES, "region lozenges")
     if shape.n == 0:
         return Region((), frozenset())
     pair = profiles(shape)
@@ -190,15 +178,11 @@ def region_from_shape(shape: SkewShape) -> Region:
         raise InvariantError(
             f"boundary walk revisits a vertex for shape {format_shape(shape)}"
         )
-    triangles = _interior_triangles(walk)
+    triangles = _interior_triangles(shape.north_step_bounds(), shape.width)
     ups = sum(1 for t in triangles if t.up)
     if 2 * ups != len(triangles):
         raise InvariantError("region has unequal UP/DOWN triangle counts")
     return Region(walk, frozenset(triangles))
-
-
-def _triangle_key(t: Triangle) -> tuple[int, int, int]:
-    return (t.b, t.a, 0 if t.up else 1)
 
 
 def _pairings(t: Triangle) -> tuple[tuple[Lozenge, Triangle], ...]:
@@ -231,7 +215,7 @@ def iter_tilings(region: Region) -> Iterator[Tiling]:
     partners inside the region. The search then tracks coverage as one flag
     per position.
     """
-    order = sorted(region.triangles, key=_triangle_key)
+    order = sorted(region.triangles, key=lambda t: (t.b, t.a, not t.up))
     position = {t: i for i, t in enumerate(order)}
     options = [
         tuple((loz, position[partner]) for loz, partner in _pairings(t) if partner in position)
@@ -381,7 +365,7 @@ def lattice_path_to_tiling(shape: SkewShape, path: LatticePath) -> Tiling:
         raise InvariantError("path lozenges escaped the region")
     rest = region.triangles - covered
     downs = {t for t in rest if not t.up}
-    for t in sorted((t for t in rest if t.up), key=_triangle_key):
+    for t in (t for t in rest if t.up):
         partner = Triangle(t.a, t.b, False)
         if partner not in downs:
             raise InvariantError(f"no cell partner for {t}")

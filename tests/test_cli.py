@@ -582,6 +582,25 @@ class TestDeepSearch:
         assert err.startswith("error: shape too large to search") and err.count("\n") == 1
         assert not out_file.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(("count", "200000", "--method", "tilings"), id="count-tilings"),
+            pytest.param(("render", "200000", "--tiling", "0"), id="render-tiling"),
+            pytest.param(("count", "10000000", "--method", "dp"), id="count-dp"),
+            pytest.param(("enumerate", "10000000", "paths", "--limit", "1"), id="enumerate-paths"),
+        ],
+    )
+    def test_past_a_size_guard_exits_2(self, capsys, tmp_path, argv):
+        # each shape is just past a limit: refused before its region or dp row is built
+        out_file = tmp_path / "x.svg"
+        if argv[0] == "render":
+            argv = (*argv, "-o", str(out_file))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: shape too large:") and err.count("\n") == 1
+        assert not out_file.exists()
+
     def test_thirty_rows_of_thirty_still_search(self):
         # a fresh interpreter: pytest's own frames would eat into the limit
         done = run_process("enumerate", ",".join(["30"] * 30), "tilings", "--limit", "0")

@@ -10,6 +10,9 @@ from skewcount.errors import (
     WrongEndpointsError,
     capped,
 )
+from skewcount.paths import count_paths_dp
+from skewcount.shapes import SkewShape
+from skewcount.tilings import region_from_shape
 
 
 def counting(n):
@@ -71,3 +74,14 @@ def test_cap_error_survives_pickling():
     copy = pickle.loads(pickle.dumps(original))
     assert str(copy) == str(original) == "enumeration exceeded cap of 2 items"
     assert copy.cap == 2
+
+
+@pytest.mark.parametrize(
+    "build, width",
+    [(region_from_shape, 200_000), (count_paths_dp, 10_000_000)],
+    ids=["region", "dp"],
+)
+def test_one_row_past_a_size_guard_is_a_shape_error(build, width):
+    with pytest.raises(ShapeError, match="^shape too large: ") as exc:
+        build(SkewShape((width,)))
+    assert "\n" not in str(exc.value)

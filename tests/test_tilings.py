@@ -190,7 +190,7 @@ class TestRegion:
 
     def test_staircase_200_scales(self):
         # a bounding-box ray cast would take minutes here; this guards the
-        # O(edges + triangles) build without timing it
+        # O(rows + triangles) build without timing it
         shape = SkewShape(Partition(tuple(range(200, 0, -1))))
         region = region_from_shape(shape)
         expected = shape.m + shape.width + shape.n
