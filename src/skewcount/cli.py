@@ -222,17 +222,17 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     cap = _resolve_cap(args)
     limit = None if args.limit is None else _int_at_least("--limit", args.limit, 0)
     search, as_text = LISTINGS[args.what]
-    # one item past the limit tells whether to mark the listing truncated, and
-    # everything is drawn and the total counted before anything prints, so a
-    # cap or size error prints no item; a loop, as islice takes no stop past
-    # sys.maxsize (no length equals a None limit)
+    # the total is counted before the draw, and all is drawn before anything
+    # prints, so a size error draws nothing and a cap error prints nothing; one
+    # item past the limit marks the listing truncated; a loop, as islice takes
+    # no stop past sys.maxsize (no length equals a None limit)
+    total = count_paths_dp(shape)
     shown, truncated = [], False
     for item in capped(SEARCHES[search](shape), cap):
         if len(shown) == limit:
             truncated = True
             break
         shown.append(item)
-    total = count_paths_dp(shape)
     for item in shown:
         if args.fmt == "json":
             print(json.dumps(item.to_json(), sort_keys=True))

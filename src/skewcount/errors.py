@@ -62,10 +62,20 @@ def capped(items: Iterable, cap: int | None) -> Iterator:
                 raise CapExceededError(cap)
             yield item
     except RecursionError:
-        raise ShapeError(
-            f"shape too large to search: deeper than Python's recursion limit "
-            f"of {sys.getrecursionlimit()}"
-        ) from None
+        raise _too_deep() from None
+
+
+def _too_deep() -> ShapeError:
+    return ShapeError(
+        f"shape too large to search: deeper than Python's recursion limit "
+        f"of {sys.getrecursionlimit()}"
+    )
+
+
+def check_depth(depth: int) -> None:
+    """Raise :func:`capped`'s too-deep ShapeError up front for a search this deep."""
+    if depth > sys.getrecursionlimit():
+        raise _too_deep()
 
 
 # Sizes past which a route refuses a shape before it allocates for it. A region

@@ -39,6 +39,7 @@ from .errors import (
     MalformedFamilyError,
     NotAdmissibleError,
     capped,
+    check_depth,
     check_size,
 )
 from .gv import PathFamily, gv_endpoints
@@ -185,22 +186,6 @@ def region_from_shape(shape: SkewShape) -> Region:
     return Region(walk, frozenset(triangles))
 
 
-def _pairings(t: Triangle) -> tuple[tuple[Lozenge, Triangle], ...]:
-    """The three lozenges that could cover t, with the partner each needs."""
-    a, b = t.a, t.b
-    if t.up:
-        return (
-            (Lozenge(T1, a, b), Triangle(a, b, False)),
-            (Lozenge(T2, a, b), Triangle(a - 1, b, False)),
-            (Lozenge(T3, a, b), Triangle(a, b - 1, False)),
-        )
-    return (
-        (Lozenge(T1, a, b), Triangle(a, b, True)),
-        (Lozenge(T2, a + 1, b), Triangle(a + 1, b, True)),
-        (Lozenge(T3, a, b + 1), Triangle(a, b + 1, True)),
-    )
-
-
 def iter_tilings(region: Region) -> Iterator[Tiling]:
     """All tilings of the region, lazily, by backtracking perfect-matching search.
 
@@ -209,18 +194,26 @@ def iter_tilings(region: Region) -> Iterator[Tiling]:
     Deliberately knows nothing about paths, so it can serve as an oracle
     for the path-based counts.
 
-    The pairing table is built once, before the search: triangles are
-    numbered in search order, and each position lists the lozenges that
-    could cover it with the position of the partner each needs, keeping only
-    partners inside the region. The search then tracks coverage as one flag
-    per position.
+    The pairing table is built once: triangles are numbered in search order,
+    and each UP triangle's T1, T2, T3 lozenge is listed at both its triangles'
+    positions (:func:`lozenge_triangles`) if both are in the region, which
+    lists a DOWN triangle's options in kind order too. The search tracks
+    coverage as one flag per position and recurses once per lozenge, so a
+    region of more lozenges than the recursion limit is a ShapeError up front.
     """
+    check_depth(len(region.triangles) // 2)
     order = sorted(region.triangles, key=lambda t: (t.b, t.a, not t.up))
     position = {t: i for i, t in enumerate(order)}
-    options = [
-        tuple((loz, position[partner]) for loz, partner in _pairings(t) if partner in position)
-        for t in order
-    ]
+    options: list[list[tuple[Lozenge, int]]] = [[] for _ in order]
+    for i, t in enumerate(order):
+        if not t.up:
+            continue
+        for kind in (T1, T2, T3):
+            loz = Lozenge(kind, t.a, t.b)
+            j = position.get(lozenge_triangles(loz)[1])
+            if j is not None:
+                options[i].append((loz, j))
+                options[j].append((loz, i))
     covered = [False] * len(order)
     chosen: list[Lozenge] = []
 
@@ -270,9 +263,7 @@ def extract_family(tiling: Tiling, direction: str) -> RhombusPathFamily:
     if direction not in _CHAIN_SIDES:
         raise ValueError(f"unknown chain direction {direction!r}")
     kinds = _CHAIN_SIDES[direction]
-    by_entry: dict[TriPoint, Lozenge] = {}
-    exits: set[TriPoint] = set()
-    members = 0
+    by_entry: dict[TriPoint, tuple[Lozenge, TriPoint]] = {}
     for loz in tiling.lozenges:
         if loz.kind not in kinds:
             continue
@@ -280,21 +271,19 @@ def extract_family(tiling: Tiling, direction: str) -> RhombusPathFamily:
         # in a tiling at most one lozenge sits forward of any given segment
         if entry in by_entry:
             raise InvariantError(f"two lozenges enter through {entry}")
-        by_entry[entry] = loz
-        exits.add(leave)
-        members += 1
+        by_entry[entry] = (loz, leave)
+    exits = {leave for _, leave in by_entry.values()}
     starts = sorted((k for k in by_entry if k not in exits), key=lambda p: (-p.b, p.a))
     chains = []
     used = 0
     for key in starts:
         chain = []
         while key in by_entry:
-            loz = by_entry[key]
+            loz, key = by_entry[key]
             chain.append(loz)
-            key = _side_keys(direction, loz)[1]
         chains.append(tuple(chain))
         used += len(chain)
-    if used != members:
+    if used != len(by_entry):
         raise InvariantError("chains failed to cover every eligible lozenge")
     return RhombusPathFamily(direction, tuple(chains))
 
@@ -342,7 +331,8 @@ def lattice_path_to_tiling(shape: SkewShape, path: LatticePath) -> Tiling:
 
     Each E step at (a, b) lays Lozenge(T2, a+1, b-1), each N step
     Lozenge(T3, a, b); the rest of the region splits uniquely into sheared
-    cells (T1 lozenges).
+    cells (T1 lozenges), checked to cover each triangle once. It does not
+    recurse, so the region's size guard bounds it, not the recursion limit.
     """
     if not is_admissible(shape, path):  # wrong corners raise WrongEndpointsError
         raise NotAdmissibleError(
@@ -350,29 +340,19 @@ def lattice_path_to_tiling(shape: SkewShape, path: LatticePath) -> Tiling:
         )
     region = region_from_shape(shape)
     lozenges = []
-    covered: set[Triangle] = set()
     a, b = path.start
     for s in path.steps:
         if s == STEP_EAST:
-            loz = Lozenge(T2, a + 1, b - 1)
+            lozenges.append(Lozenge(T2, a + 1, b - 1))
             a += 1
         else:
-            loz = Lozenge(T3, a, b)
+            lozenges.append(Lozenge(T3, a, b))
             b += 1
-        lozenges.append(loz)
-        covered.update(lozenge_triangles(loz))
-    if not covered <= region.triangles:
-        raise InvariantError("path lozenges escaped the region")
-    rest = region.triangles - covered
-    downs = {t for t in rest if not t.up}
-    for t in (t for t in rest if t.up):
-        partner = Triangle(t.a, t.b, False)
-        if partner not in downs:
-            raise InvariantError(f"no cell partner for {t}")
-        downs.remove(partner)
-        lozenges.append(Lozenge(T1, t.a, t.b))
-    if downs:
-        raise InvariantError(f"unpaired triangles {sorted(downs)}")
+    on_path = {lozenge_triangles(loz)[0] for loz in lozenges}
+    lozenges += [Lozenge(T1, t.a, t.b) for t in region.triangles if t.up and t not in on_path]
+    covered = [t for loz in lozenges for t in lozenge_triangles(loz)]
+    if len(covered) != len(region.triangles) or set(covered) != region.triangles:
+        raise InvariantError(f"path {path.steps!r} does not tile {format_shape(shape)}")
     return Tiling(frozenset(lozenges))
 
 

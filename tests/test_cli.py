@@ -478,7 +478,8 @@ class TestStreaming:
     def test_family_search_of_a_wide_row_holds_only_its_path(self, capsys):
         # occupancy grows with the path, not with the configuration's bounding
         # box: a row 10^9 wide meets the recursion limit, not a 2 GB table
-        code, out, err = run(capsys, "enumerate", "1000000000", "families", "--limit", "1")
+        # (`count`, as `enumerate` meets the dp size guard before it draws)
+        code, out, err = run(capsys, "count", "1000000000", "--method", "gv_enum")
         assert (code, out) == (2, "")
         assert err.startswith("error: shape too large to search") and err.count("\n") == 1
 
@@ -530,6 +531,16 @@ class TestStreaming:
         monkeypatch.setattr("skewcount.tilings.iter_tilings", no_search)
         code, _, err = run(capsys, "render", "2,1", "--tiling", "5", "-o", str(tmp_path / "x.svg"))
         assert (code, err) == (2, "error: tiling index 5 outside 0..4\n")
+
+
+    def test_enumerate_past_the_dp_guard_never_draws(self, capsys, monkeypatch):
+        def no_search(shape):
+            raise AssertionError("drew a path of a shape past the dp guard")
+
+        monkeypatch.setattr(cli, "iter_paths", no_search)
+        code, out, err = run(capsys, "enumerate", "10000000", "paths", "--limit", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: shape too large:") and err.count("\n") == 1
 
 
 BIG = "99999999999999999999"  # past sys.maxsize, the largest stop islice takes

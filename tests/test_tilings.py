@@ -3,8 +3,10 @@ from hypothesis import example, given
 
 from skewcount.errors import (
     CapExceededError,
+    InvariantError,
     MalformedFamilyError,
     NotAdmissibleError,
+    ShapeError,
 )
 from skewcount.gv import enumerate_disjoint_families, gv_endpoints
 from skewcount.kreweras import kreweras_count
@@ -20,7 +22,6 @@ from skewcount.tilings import (
     Tiling,
     Triangle,
     TriPoint,
-    _pairings,
     _side_keys,
     enumerate_tilings,
     extract_family,
@@ -77,6 +78,23 @@ def ray_cast_triangles(boundary):
                 if sum(num > px * den for num, den in crossings) % 2:
                     out.add(Triangle(a, b, up))
     return out
+
+
+def _pairings(t):
+    """The three lozenges that could cover t, with the partner each needs,
+    written out from each triangle's side apart from lozenge_triangles."""
+    a, b = t.a, t.b
+    if t.up:
+        return (
+            (Lozenge(T1, a, b), Triangle(a, b, False)),
+            (Lozenge(T2, a, b), Triangle(a - 1, b, False)),
+            (Lozenge(T3, a, b), Triangle(a, b - 1, False)),
+        )
+    return (
+        (Lozenge(T1, a, b), Triangle(a, b, True)),
+        (Lozenge(T2, a + 1, b), Triangle(a + 1, b, True)),
+        (Lozenge(T3, a, b + 1), Triangle(a, b + 1, True)),
+    )
 
 
 def set_search_tilings(region):
@@ -244,14 +262,21 @@ class TestEnumerateTilings:
     def test_pairing_table_is_built_once(self, monkeypatch):
         calls = []
 
-        def counted(t):
-            calls.append(t)
-            return _pairings(t)
+        def counted(loz):
+            calls.append(loz)
+            return lozenge_triangles(loz)
 
-        monkeypatch.setattr("skewcount.tilings._pairings", counted)
+        monkeypatch.setattr("skewcount.tilings.lozenge_triangles", counted)
         region = region_from_shape(parse_shape("7,7,6,5,4/3,2"))
         assert sum(1 for _ in iter_tilings(region)) == 680
-        assert len(calls) == len(region.triangles) == 72
+        assert len(calls) == 3 * region.up_count == 108
+
+    def test_too_deep_is_refused_at_the_call(self):
+        # 1,201 lozenges, past the default recursion limit of 1,000: refused
+        # when called, not at the first draw
+        region = region_from_shape(SkewShape((600,)))
+        with pytest.raises(ShapeError, match="deeper than Python's recursion limit"):
+            iter_tilings(region)
 
 
 class TestCensus:
@@ -359,6 +384,16 @@ class TestPathBijection:
         tiling = lattice_path_to_tiling(shape, LatticePath((0, 0), ""))
         assert tiling == Tiling(frozenset())
         assert family_A_to_lattice_path(extract_family(tiling, "a")) == LatticePath((0, 0), "")
+
+    def test_cover_check_reads_lozenge_triangles(self, monkeypatch):
+        # a T1 cell paired with the wrong DOWN triangle no longer tiles the region
+        def shifted(loz):
+            up, down = lozenge_triangles(loz)
+            return (up, Triangle(loz.a + 1, loz.b, False)) if loz.kind == T1 else (up, down)
+
+        monkeypatch.setattr("skewcount.tilings.lozenge_triangles", shifted)
+        with pytest.raises(InvariantError, match="'NENE'"):
+            lattice_path_to_tiling(parse_shape("2,1"), LatticePath((0, 0), "NENE"))
 
     def test_not_admissible(self):
         with pytest.raises(NotAdmissibleError):
