@@ -13,9 +13,16 @@ import sys
 import time
 from functools import partial
 
-from .errors import CapExceededError, InvariantError, ShapeError, capped, count_capped
+from .errors import (
+    CapExceededError,
+    InvariantError,
+    ShapeError,
+    capped,
+    check_depth,
+    count_capped,
+)
 from .kreweras import kreweras_count
-from .paths import LatticePath, count_paths_dp, iter_paths
+from .paths import LatticePath, count_paths_dp, iter_paths, path_leaves
 from .shapes import SkewShape, format_shape, parse_shape, partitions_in_box, subpartitions
 
 DEFAULT_CAP = 1_000_000
@@ -26,13 +33,34 @@ CAP_ENV = "SKEWCOUNT_CAP"
 # The tables look names up at call time, so patches take effect.
 
 
-def _tiling_search(shape: SkewShape):
-    from .tilings import iter_tilings, region_from_shape
+def _tiling_region(shape: SkewShape):
+    from .tilings import region_from_shape, region_lozenges
 
-    return iter_tilings(region_from_shape(shape))
+    # the tiling search recurses once per lozenge, so a region too deep to
+    # search is refused from the shape, before it is built
+    check_depth(region_lozenges(shape))
+    return region_from_shape(shape)
 
 
-def _family_search(shape: SkewShape):
+def _tiling_leaves(shape: SkewShape):
+    from .tilings import tiling_leaves
+
+    return tiling_leaves(_tiling_region(shape))
+
+
+def _tilings(shape: SkewShape):
+    from .tilings import iter_tilings
+
+    return iter_tilings(_tiling_region(shape))
+
+
+def _family_leaves(shape: SkewShape):
+    from .gv import family_leaves, gv_endpoints
+
+    return family_leaves(gv_endpoints(shape))
+
+
+def _families(shape: SkewShape):
     from .gv import gv_endpoints, iter_disjoint_families
 
     return iter_disjoint_families(gv_endpoints(shape))
@@ -44,11 +72,12 @@ def _gv_det(shape: SkewShape, cap: int | None) -> int:
     return gv_count(gv_endpoints(shape))
 
 
-# every search, built from a shape
+# every search's leaves, from a shape: the count routes drain them through the
+# cap and build no path, tiling or family
 SEARCHES = {
-    "enum": lambda shape: iter_paths(shape),
-    "tilings": _tiling_search,
-    "gv_enum": _family_search,
+    "enum": lambda shape: path_leaves(shape),
+    "tilings": _tiling_leaves,
+    "gv_enum": _family_leaves,
 }
 
 # every route, in verify's order
@@ -61,15 +90,15 @@ METHODS = {
     "gv_det": _gv_det,
 }
 
-# enumerate's listings: what -> (search, one item as a text line)
+# enumerate's listings: what -> (the search's built items from a shape, one item as a text line)
 LISTINGS = {
-    "paths": ("enum", lambda p: p.steps),
+    "paths": (lambda shape: iter_paths(shape), lambda p: p.steps),
     "tilings": (
-        "tilings",
+        _tilings,
         lambda t: " ".join(f"T{l.kind}({l.a},{l.b})" for l in t.sorted_lozenges()),
     ),
     "families": (
-        "gv_enum",
+        _families,
         lambda f: " | ".join(f"({p.start[0]},{p.start[1]}):{p.steps}" for p in f.paths),
     ),
 }
@@ -192,7 +221,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            first_bad = _emit_reports(pool.map(partial(_verify_one, cap=cap), shapes))
+            # about 8 tasks a worker: a task per shape pays a round trip through
+            # the pool's queues for each, while a few tasks a worker still even
+            # out shapes of unequal cost
+            chunk = max(1, len(shapes) // (8 * workers))
+            first_bad = _emit_reports(
+                pool.map(partial(_verify_one, cap=cap), shapes, chunksize=chunk)
+            )
     else:
         first_bad = _emit_reports(_verify_one(shape, cap) for shape in shapes)
     if first_bad is not None:
@@ -221,14 +256,14 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     shape = parse_shape(args.shape)
     cap = _resolve_cap(args)
     limit = None if args.limit is None else _int_at_least("--limit", args.limit, 0)
-    search, as_text = LISTINGS[args.what]
+    items, as_text = LISTINGS[args.what]
     # the total is counted before the draw, and all is drawn before anything
     # prints, so a size error draws nothing and a cap error prints nothing; one
     # item past the limit marks the listing truncated; a loop, as islice takes
     # no stop past sys.maxsize (no length equals a None limit)
     total = count_paths_dp(shape)
     shown, truncated = [], False
-    for item in capped(SEARCHES[search](shape), cap):
+    for item in capped(items(shape), cap):
         if len(shown) == limit:
             truncated = True
             break
@@ -261,7 +296,7 @@ def cmd_render(args: argparse.Namespace) -> int:
         # drawing index + 1 tilings meets the cap exactly when index >= cap
         if index >= cap:
             raise CapExceededError(cap)
-        region = region_from_shape(shape)
+        region = _tiling_region(shape)
         for i, tiling in enumerate(capped(iter_tilings(region), cap)):
             if i == index:
                 break

@@ -79,13 +79,29 @@ def gv_count(config: GVConfig) -> int:
 def iter_disjoint_families(config: GVConfig) -> Iterator[PathFamily]:
     """All pairwise vertex-disjoint families, any end permutation, brute force, lazily.
 
-    Paths grow north first and stop at an occupied vertex, so families come in
-    ascending north-record order; a family not pairing start i with end i raises InvariantError.
+    Each family is built from a leaf of :func:`family_leaves`, so families come
+    in its ascending north-record order, and a non-identity family raises
+    InvariantError there.
+    """
+    return (_family(config.starts, finished) for finished in family_leaves(config))
+
+
+def _family(starts: tuple[Point, ...], finished: list[list[str]]) -> PathFamily:
+    return PathFamily(tuple(LatticePath(s, "".join(steps)) for s, steps in zip(starts, finished)))
+
+
+def family_leaves(config: GVConfig) -> Iterator[list[list[str]]]:
+    """The search behind :func:`iter_disjoint_families`: at each leaf, its live
+    list of the finished paths' step lists, path i from start i.
+
+    The lists change as the search resumes, so a caller that keeps a family
+    copies them; counting the leaves builds no path. Paths grow north first
+    and stop at an occupied vertex, so families come in ascending north-record
+    order; a family not pairing start i with end i raises InvariantError.
 
     Built once per configuration, before the search: each end's last start
     that can reach it, for the cut of partial families that cannot complete,
-    and integer vertex ids, so occupancy is a set of ints. A path's steps are
-    a list, joined once when the path is finished.
+    and integer vertex ids, so occupancy is a set of ints.
     """
     n = config.n
     starts, ends = config.starts, config.ends
@@ -101,13 +117,14 @@ def iter_disjoint_families(config: GVConfig) -> Iterator[PathFamily]:
     used_ends = [False] * n
     pairing: list[int] = []
     occupied: set[int] = set()
+    finished: list[list[str]] = []
 
-    def place(paths: tuple[LatticePath, ...]) -> Iterator[PathFamily]:
-        k = len(paths)
+    def place() -> Iterator[list[list[str]]]:
+        k = len(finished)
         if k == n:
             if pairing != identity:
-                raise InvariantError(f"non-identity family {PathFamily(paths)}")
-            yield PathFamily(paths)
+                raise InvariantError(f"non-identity family {_family(starts, finished)}")
+            yield finished
             return
         # cut a branch that cannot complete: an unused end no remaining start can reach
         for j in range(n):
@@ -118,29 +135,31 @@ def iter_disjoint_families(config: GVConfig) -> Iterator[PathFamily]:
             if not used_ends[j] and ex >= sx and ey >= sy:
                 used_ends[j] = True
                 pairing.append(j)
-                yield from grow(paths, sy * width + sx, ex - sx, ey - sy, [])
+                yield from grow(sy * width + sx, ex - sx, ey - sy, [])
                 pairing.pop()
                 used_ends[j] = False
 
-    def grow(paths: tuple, v: int, east: int, north: int, steps: list[str]) -> Iterator[PathFamily]:
+    def grow(v: int, east: int, north: int, steps: list[str]) -> Iterator[list[list[str]]]:
         # the next path, having taken `steps`, enters vertex v with `east` and
         # `north` steps still to take
         if v in occupied:
             return
         occupied.add(v)
         if not east and not north:
-            yield from place(paths + (LatticePath(starts[len(paths)], "".join(steps)),))
+            finished.append(steps)
+            yield from place()
+            finished.pop()
         if north:
             steps.append(STEP_NORTH)
-            yield from grow(paths, v + width, east, north - 1, steps)
+            yield from grow(v + width, east, north - 1, steps)
             steps.pop()
         if east:
             steps.append(STEP_EAST)
-            yield from grow(paths, v + 1, east - 1, north, steps)
+            yield from grow(v + 1, east - 1, north, steps)
             steps.pop()
         occupied.discard(v)
 
-    return place(())
+    return place()
 
 
 def enumerate_disjoint_families(config: GVConfig, cap: int | None = None) -> list[PathFamily]:

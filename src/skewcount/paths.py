@@ -105,14 +105,27 @@ def is_admissible(shape: "SkewShape", path: LatticePath) -> bool:
 
 
 def iter_paths(shape: "SkewShape") -> Iterator[LatticePath]:
-    """All admissible paths of the shape, lazily, lexicographically by north record."""
+    """All admissible paths of the shape, lazily, lexicographically by north record.
+
+    Each path is built from a leaf of :func:`path_leaves`.
+    """
+    width = shape.width
+    return (path_from_north_record(tuple(rec), width) for rec in path_leaves(shape))
+
+
+def path_leaves(shape: "SkewShape") -> Iterator[list[int]]:
+    """The search behind :func:`iter_paths`: at each leaf, its live north-record list.
+
+    The list changes as the search resumes, so a caller that keeps a record
+    copies it; counting the leaves builds no path.
+    """
     bounds = shape.north_step_bounds()
-    n, width = len(bounds), shape.width
+    n = len(bounds)
     rec: list[int] = []
 
-    def go(k: int, floor: int) -> Iterator[LatticePath]:
+    def go(k: int, floor: int) -> Iterator[list[int]]:
         if k == n:
-            yield path_from_north_record(tuple(rec), width)
+            yield rec
             return
         lo, hi = bounds[k]
         for c in range(max(lo, floor), hi + 1):

@@ -163,12 +163,21 @@ def _interior_triangles(bounds: tuple[tuple[int, int], ...], width: int) -> list
     return out
 
 
+def region_lozenges(shape: SkewShape) -> int:
+    """The number of lozenges in the shape's region, m + width + n (the T1, T2
+    and T3 counts of its every tiling), read off the shape alone. Past
+    ``MAX_REGION_LOZENGES`` it is a ShapeError."""
+    lozenges = shape.m + shape.width + shape.n
+    check_size(lozenges, MAX_REGION_LOZENGES, "region lozenges")
+    return lozenges
+
+
 def region_from_shape(shape: SkewShape) -> Region:
     """The tiling region of a shape: inner profile, then the outer profile
     pushed one unit along v, walked as a closed polygon, with its triangles
     read row by row between the two profiles' north steps. A shape of more
     than ``MAX_REGION_LOZENGES`` lozenges is a ShapeError, raised up front."""
-    check_size(shape.m + shape.width + shape.n, MAX_REGION_LOZENGES, "region lozenges")
+    region_lozenges(shape)
     if shape.n == 0:
         return Region((), frozenset())
     pair = profiles(shape)
@@ -188,6 +197,17 @@ def region_from_shape(shape: SkewShape) -> Region:
 
 def iter_tilings(region: Region) -> Iterator[Tiling]:
     """All tilings of the region, lazily, by backtracking perfect-matching search.
+
+    Each tiling is built from a leaf of :func:`tiling_leaves`.
+    """
+    return (Tiling(frozenset(chosen)) for chosen in tiling_leaves(region))
+
+
+def tiling_leaves(region: Region) -> Iterator[list[Lozenge]]:
+    """The search behind :func:`iter_tilings`: at each leaf, its live list of chosen lozenges.
+
+    The list changes as the search resumes, so a caller that keeps a tiling
+    copies it; counting the leaves builds no tiling.
 
     Always pairs the first uncovered triangle in the fixed (b, a, UP<DOWN)
     order, trying kinds T1, T2, T3; the output order is the search order.
@@ -217,12 +237,12 @@ def iter_tilings(region: Region) -> Iterator[Tiling]:
     covered = [False] * len(order)
     chosen: list[Lozenge] = []
 
-    def go(start: int) -> Iterator[Tiling]:
+    def go(start: int) -> Iterator[list[Lozenge]]:
         i = start
         while i < len(order) and covered[i]:
             i += 1
         if i == len(order):
-            yield Tiling(frozenset(chosen))
+            yield chosen
             return
         covered[i] = True
         for loz, j in options[i]:

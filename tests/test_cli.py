@@ -450,6 +450,29 @@ class TestMethodTable:
         assert list(cli.METHODS) == ["det", "dp", "enum", "tilings", "gv_enum", "gv_det"]
         assert set(report["counts"]) == set(cli.METHODS)
 
+    def test_count_routes_build_no_items(self, monkeypatch):
+        def no_item(*args):
+            raise AssertionError("built an item to count it")
+
+        for target in ("skewcount.paths.path_from_north_record", "skewcount.tilings.Tiling",
+                       "skewcount.gv.PathFamily", "skewcount.gv.LatticePath"):
+            monkeypatch.setattr(target, no_item)
+        shape = cli.parse_shape("7,7,6,5,4/3,2")
+        for method in ("enum", "tilings", "gv_enum"):
+            assert cli.METHODS[method](shape, None) == 680
+        # the listings build items, so the patches bite
+        for items, _ in cli.LISTINGS.values():
+            with pytest.raises(AssertionError, match="built an item"):
+                next(items(shape))
+
+    @pytest.mark.parametrize("method", ["enum", "tilings", "gv_enum"])
+    def test_cap_counts_leaves(self, capsys, method):
+        # 3,2,1 has 14 paths: a cap of 14 admits them all, 13 stops at the 14th
+        code, out, err = run(capsys, "count", "3,2,1", "--method", method, "--cap", "13")
+        assert (code, out, err) == (3, "", "error: enumeration exceeded cap of 13 items\n")
+        code, out, _ = run(capsys, "count", "3,2,1", "--method", method, "--cap", "14")
+        assert (code, out) == (0, "14\n")
+
 
 class TestStreaming:
     def test_path_prefix_under_a_small_cap(self, capsys):
@@ -612,6 +635,28 @@ class TestDeepSearch:
         assert err.startswith("error: shape too large:") and err.count("\n") == 1
         assert not out_file.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(("count", "99999", "--method", "tilings"), id="count-tilings"),
+            pytest.param(("render", BOX_40, "--tiling", "0"), id="render-tiling"),
+        ],
+    )
+    def test_too_deep_region_is_never_built(self, capsys, monkeypatch, tmp_path, argv):
+        # the shape alone gives the region's m + width + n lozenges
+        def no_region(shape):
+            raise AssertionError("built a region too deep to search")
+
+        monkeypatch.setattr("skewcount.tilings.region_from_shape", no_region)
+        out_file = tmp_path / "x.svg"
+        if argv[0] == "render":
+            argv = (*argv, "-o", str(out_file))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: shape too large to search: deeper than Python's recursion limit")
+        assert err.count("\n") == 1
+        assert not out_file.exists()
+
     def test_thirty_rows_of_thirty_still_search(self):
         # a fresh interpreter: pytest's own frames would eat into the limit
         done = run_process("enumerate", ",".join(["30"] * 30), "tilings", "--limit", "0")
@@ -674,9 +719,10 @@ class TestIntegerFlags:
 
 
 class FakePool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
+    """Stands in for ProcessPoolExecutor: records max_workers and chunksize, maps serially."""
 
     sizes: list = []
+    chunks: list = []
 
     def __init__(self, max_workers):
         FakePool.sizes.append(max_workers)
@@ -687,7 +733,8 @@ class FakePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
+    def map(self, fn, items, chunksize=1):
+        FakePool.chunks.append(chunksize)
         return map(fn, items)
 
 
@@ -712,3 +759,20 @@ class TestJobsClamp:
         reports = [json.loads(line) for line in out.splitlines()]
         assert all(r["agree"] for r in reports)
         assert len(reports) == (2 if targets[0] == "1" else 20)
+
+    @pytest.mark.parametrize(
+        "box, cpus, shapes, chunk",
+        [
+            ("3x3", 2, 175, 10),  # about 8 chunks a worker
+            ("2x2", 3, 20, 1),  # fewer shapes than 8 a worker: one shape a chunk
+        ],
+    )
+    def test_shapes_go_out_in_chunks(self, capsys, monkeypatch, box, cpus, shapes, chunk):
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(FakePool, "sizes", [])
+        monkeypatch.setattr(FakePool, "chunks", [])
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        code, out, _ = run(capsys, "verify", "--box", box, "--jobs", str(cpus))
+        assert code == 0
+        assert len(out.splitlines()) == shapes
+        assert (FakePool.sizes, FakePool.chunks) == ([cpus], [chunk])

@@ -1,12 +1,13 @@
 import pytest
 from hypothesis import example, given
 
-from skewcount.errors import CapExceededError, InvariantError
+from skewcount.errors import CapExceededError, InvariantError, count_capped
 from skewcount.exact import det_exact
 from skewcount.gv import (
     GVConfig,
     PathFamily,
     enumerate_disjoint_families,
+    family_leaves,
     gv_count,
     gv_endpoints,
     gv_matrix,
@@ -137,6 +138,12 @@ class TestDisjointFamilies:
         config = GVConfig(((0, 0), (1, 0)), ((1, 1), (0, 1)))
         with pytest.raises(InvariantError):
             enumerate_disjoint_families(config)
+
+    def test_non_identity_family_raises_while_counting(self):
+        # the check sits in the leaf search, so counting without building meets it too
+        config = GVConfig(((0, 0), (1, 0)), ((1, 1), (0, 1)))
+        with pytest.raises(InvariantError, match=r"non-identity family PathFamily"):
+            count_capped(family_leaves(config), None)
 
     def test_count_matches_determinant_on_sweep(self):
         for lam in partitions_in_box(2, 3):
