@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 import time
 from functools import partial
@@ -23,7 +22,9 @@ from .errors import (
 )
 from .kreweras import kreweras_count
 from .paths import LatticePath, count_paths_dp, iter_paths, path_leaves
-from .shapes import SkewShape, format_shape, parse_shape, partitions_in_box, subpartitions
+from .shapes import (
+    SkewShape, format_shape, parse_integer, parse_shape, partitions_in_box, subpartitions,
+)
 
 DEFAULT_CAP = 1_000_000
 CAP_ENV = "SKEWCOUNT_CAP"
@@ -103,31 +104,11 @@ LISTINGS = {
     ),
 }
 
-# the shape-part grammar (ASCII digits, whitespace around them) plus a sign;
-# int() alone would also take "1_0", "+3" and non-ASCII digits
-_INTEGER = re.compile(r"\s*(-?[0-9]+)\s*")
-
-
-def _int_at_least(name: str, raw: str, low: int) -> int:
-    """Parse an integer flag or variable and check its lower bound."""
-    bad = ShapeError(f"{name} must be an integer, got {raw!r}")
-    match = _INTEGER.fullmatch(raw)
-    if match is None:
-        raise bad
-    try:
-        value = int(match.group(1))
-    except ValueError:  # more digits than int() converts
-        raise bad from None
-    if value < low:
-        raise ShapeError(f"{name} must be at least {low}, got {value}")
-    return value
-
-
 def _resolve_cap(args: argparse.Namespace) -> int:
     if args.cap is not None:
-        return _int_at_least("--cap", args.cap, 0)
+        return parse_integer(args.cap, "--cap", 0)
     raw = os.environ.get(CAP_ENV)
-    return DEFAULT_CAP if raw is None else _int_at_least(CAP_ENV, raw, 0)
+    return DEFAULT_CAP if raw is None else parse_integer(raw, CAP_ENV, 0)
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -157,14 +138,10 @@ def _verify_one(shape: SkewShape, cap: int) -> dict:
 
 
 def _box_sides(box_text: str) -> tuple[int, int]:
-    match = re.fullmatch(r"([0-9]+)[xX]([0-9]+)", box_text.strip())
-    if not match:
-        raise ShapeError(f"--box wants AxB, got {box_text!r}")
-    try:
-        return int(match.group(1)), int(match.group(2))
-    except ValueError:  # more digits than int() converts
-        side = max(match.groups(), key=len)
-        raise ShapeError(f"--box side of {len(side)} digits is too long") from None
+    sides = box_text.replace("X", "x").split("x")
+    if len(sides) != 2:
+        raise ShapeError("--box wants AxB: two sides split by one x")
+    return tuple(parse_integer(side, "--box side", 0) for side in sides)
 
 
 def _sweep_size(rows: int, cols: int, cap: int) -> int:
@@ -210,7 +187,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         shapes = [parse_shape(text) for text in args.shapes]
     else:
         raise ShapeError("nothing to verify: give shapes or --box AxB")
-    jobs = _int_at_least("--jobs", args.jobs, 1)
+    jobs = parse_integer(args.jobs, "--jobs", 1)
     cap = _resolve_cap(args)
     if args.box:
         shapes = _box_sweep(*sides, cap)
@@ -255,7 +232,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
     shape = parse_shape(args.shape)
     cap = _resolve_cap(args)
-    limit = None if args.limit is None else _int_at_least("--limit", args.limit, 0)
+    limit = None if args.limit is None else parse_integer(args.limit, "--limit", 0)
     items, as_text = LISTINGS[args.what]
     # the total is counted before the draw, and all is drawn before anything
     # prints, so a size error draws nothing and a cap error prints nothing; one
@@ -285,11 +262,12 @@ def cmd_render(args: argparse.Namespace) -> int:
     from .tilings import iter_tilings, lattice_path_to_tiling, region_from_shape, render_svg
 
     shape = parse_shape(args.shape)
-    # each branch checks its input before it builds the region, so a bad index
-    # or path on a large shape exits 2 without allocating one
+    # the cap is read even where it is not used, so a bad one exits 2 on either
+    # branch; each branch checks its input before it builds the region, so a
+    # bad index or path on a large shape exits 2 without allocating one
+    cap = _resolve_cap(args)
     if args.tiling is not None:
-        cap = _resolve_cap(args)
-        index = _int_at_least("--tiling", args.tiling, 0)
+        index = parse_integer(args.tiling, "--tiling", 0)
         total = count_paths_dp(shape)
         if index >= total:
             raise ShapeError(f"tiling index {index} outside 0..{total - 1}")
@@ -323,8 +301,15 @@ def _add_cap(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Hands usage errors to main as ShapeErrors, so they print its one line."""
+
+    def error(self, message: str):
+        raise ShapeError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="skewcount",
         description="Count monotone lattice paths in a skew shape by several "
         "mutually independent methods.",
@@ -380,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,7 +20,29 @@ from .errors import (
 )
 from .paths import LatticePath, path_from_north_record
 
-_DIGITS = re.compile(r"[0-9]+")
+# README's integer grammar: ASCII digits with whitespace around them and an
+# optional leading "-"; int() alone would also take "1_0", "+3" and other scripts
+_INTEGER = re.compile(r"\s*(-?[0-9]+)\s*")
+
+
+def parse_integer(text: str, what: str, low: int) -> int:
+    """Read a shape part, or a CLI flag or variable, as an int at least `low`.
+
+    The only reader of outside text as an int; its one-line ShapeError names
+    `what` and echoes at most 40 characters of the text.
+    """
+    match = _INTEGER.fullmatch(text)
+    if match is None:
+        got = repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
+        raise ShapeError(f"{what} must be an integer, got {got}")
+    digits = match.group(1)
+    try:
+        value = int(digits)
+    except ValueError:  # more digits than int() converts
+        raise ShapeError(f"{what} of {len(digits.lstrip('-'))} digits is too long") from None
+    if value < low:
+        raise ShapeError(f"{what} must be at least {low}, got {value}")
+    return value
 
 
 class Partition(tuple):
@@ -138,28 +160,14 @@ def parse_shape(text: str) -> SkewShape:
     """
 
     def parse_parts(chunk: str, label: str) -> Partition:
-        items = [t.strip() for t in chunk.split(",")]
-        if any(not t for t in items):
-            raise ShapeError(f"empty {label} part in {text!r}")
-        parts = []
-        for t in items:
-            # int() alone would also take "1_0", "+3" and non-ASCII digits
-            if not _DIGITS.fullmatch(t):
-                raise ShapeError(
-                    f"bad {label} part {t!r} in {text!r}: parts are ASCII digits 0-9"
-                )
-            try:
-                parts.append(int(t))
-            except ValueError:  # more digits than int() converts
-                raise ShapeError(f"{label} part of {len(t)} digits is too long") from None
-        return Partition(tuple(parts))
+        parts = [parse_integer(t, f"{label} part", 0) for t in chunk.split(",")]
+        if "-" in chunk:  # a "-0": the integer grammar takes a sign, a shape part does not
+            raise ShapeError(f"{label} part takes no sign")
+        return Partition(parts)
 
-    body = text.strip()
-    if not body:
-        raise ShapeError("empty shape text")
-    pieces = body.split("/")
+    pieces = text.split("/")
     if len(pieces) > 2:
-        raise ShapeError(f"more than one '/' in {text!r}")
+        raise ShapeError("more than one '/' in the shape")
     outer = parse_parts(pieces[0], "outer")
     inner = parse_parts(pieces[1], "inner") if len(pieces) == 2 else Partition()
     return SkewShape(outer, inner)

@@ -31,7 +31,7 @@ sweeps when the boundary is pulled apart.
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .errors import (
     MAX_REGION_LOZENGES,
@@ -42,9 +42,11 @@ from .errors import (
     check_depth,
     check_size,
 )
-from .gv import PathFamily, gv_endpoints
 from .paths import STEP_EAST, STEP_NORTH, LatticePath, is_admissible
 from .shapes import SkewShape, format_shape, profiles
+
+if TYPE_CHECKING:  # gv is loaded only when family_B_to_z2_paths runs
+    from .gv import PathFamily
 
 T1 = 1
 T2 = 2
@@ -384,6 +386,8 @@ def family_B_to_z2_paths(family: RhombusPathFamily, shape: SkewShape) -> PathFam
     configuration; an entry side keyed (a, b) sits at Z^2 point
     (a + b - n, n - b).
     """
+    from .gv import PathFamily, gv_endpoints
+
     if family.direction != "b":
         raise MalformedFamilyError(f"expected direction 'b', got {family.direction!r}")
     n = shape.n

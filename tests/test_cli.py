@@ -277,8 +277,11 @@ class TestImportBudget:
         assert (result.returncode, result.stdout) == (0, "399\n[]\n")
 
     def test_tilings_count_loads_tilings(self):
+        # tilings loads gv only for family_B_to_z2_paths, which no command runs
         result = run_python("-c", ROUTES_LOADED, "count", "2,1", "--method", "tilings")
-        assert (result.returncode, result.stdout) == (0, "5\n['skewcount.gv', 'skewcount.tilings']\n")
+        assert (result.returncode, result.stdout) == (0, "5\n['skewcount.tilings']\n")
+        result = run_python("-c", ROUTES_LOADED, "render", "2,1", "--path", "NENE", "-o", os.devnull)
+        assert (result.returncode, result.stdout) == (0, "['skewcount.tilings']\n")
 
     @pytest.mark.parametrize(
         "argv",
@@ -431,9 +434,12 @@ class TestRender:
         assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
 
     def test_tiling_and_path_conflict(self, capsys, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            run(capsys, "render", "1", "--tiling", "0", "--path", "EN", "-o", str(tmp_path / "x.svg"))
-        assert exc.value.code == 2
+        code, out, err = run(
+            capsys, "render", "1", "--tiling", "0", "--path", "EN", "-o", str(tmp_path / "x.svg")
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: skewcount render: argument --path: not allowed")
+        assert err.count("\n") == 1
 
 
 class TestMethodTable:
@@ -670,6 +676,48 @@ BAD_INTEGERS = [
 ]
 
 
+def bad_integer_line(name: str, raw: str) -> str:
+    """The start of the error line for a BAD_INTEGERS text read as `name`."""
+    if raw == "1" * 5000:
+        return f"error: {name} of 5000 digits is too long\n"
+    return f"error: {name} must be an integer, got {raw!r}"
+
+
+# every point where the CLI reads an integer: (the name its error line gives,
+# the argv for a raw text, whether the raw text goes in SKEWCOUNT_CAP instead)
+INPUT_POINTS = {
+    "outer": ("outer part", lambda raw: ["count", raw], False),
+    "inner": ("inner part", lambda raw: ["count", f"3,2/{raw}"], False),
+    "cap": ("--cap", lambda raw: ["count", "3,2,1", "--method", "enum", f"--cap={raw}"], False),
+    "env-cap": ("SKEWCOUNT_CAP", lambda raw: ["count", "3,2,1", "--method", "enum"], True),
+    "render-path-cap": (
+        "--cap", lambda raw: ["render", "2,1", "--path", "NENE", f"--cap={raw}"], False,
+    ),
+    "render-path-env-cap": (
+        "SKEWCOUNT_CAP", lambda raw: ["render", "2,1", "--path", "NENE"], True,
+    ),
+    "limit": ("--limit", lambda raw: ["enumerate", "2,1", "paths", f"--limit={raw}"], False),
+    "jobs": ("--jobs", lambda raw: ["verify", "1", f"--jobs={raw}"], False),
+    "tiling": ("--tiling", lambda raw: ["render", "1", f"--tiling={raw}"], False),
+    "box-rows": ("--box side", lambda raw: ["verify", f"--box={raw}x2"], False),
+    "box-cols": ("--box side", lambda raw: ["verify", f"--box=2x{raw}"], False),
+}
+
+# usage errors that argparse finds, and which print main's line all the same
+USAGE_ERRORS = [
+    ["count"],
+    ["count", "2,1", "--method", "foo"],
+    ["verify", "--bogus"],
+    ["render", "1", "--tiling", "0", "--path", "EN"],
+]
+
+
+def assert_one_error_line(code, out, err, name) -> None:
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
+    assert name in err and len(err) <= 200
+
+
 class TestIntegerFlags:
     @pytest.mark.parametrize("raw", BAD_INTEGERS)
     @pytest.mark.parametrize(
@@ -684,7 +732,7 @@ class TestIntegerFlags:
         code, out, err = run(capsys, *argv, raw)
         assert code == 2
         assert out == ""
-        assert err.startswith(f"error: {argv[-1]} must be an integer")
+        assert err.startswith(bad_integer_line(argv[-1], raw))
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("raw", BAD_INTEGERS)
@@ -692,7 +740,7 @@ class TestIntegerFlags:
         out_file = tmp_path / "x.svg"
         code, _, err = run(capsys, "render", "1", "--tiling", raw, "-o", str(out_file))
         assert code == 2
-        assert err.startswith("error: --tiling must be an integer")
+        assert err.startswith(bad_integer_line("--tiling", raw))
         assert err.count("\n") == 1
         assert not out_file.exists()
 
@@ -701,8 +749,33 @@ class TestIntegerFlags:
         monkeypatch.setenv("SKEWCOUNT_CAP", raw)
         code, _, err = run(capsys, "count", "1", "--method", "enum")
         assert code == 2
-        assert err.startswith("error: SKEWCOUNT_CAP must be an integer")
+        assert err.startswith(bad_integer_line("SKEWCOUNT_CAP", raw))
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("raw", [*BAD_INTEGERS, "-1"])
+    @pytest.mark.parametrize("point", INPUT_POINTS)
+    def test_every_input_point(self, capsys, monkeypatch, tmp_path, point, raw):
+        name, argv, in_env = INPUT_POINTS[point]
+        out_file = tmp_path / "x.svg"
+        argv = argv(raw)
+        if argv[0] == "render":
+            argv += ["-o", str(out_file)]
+        if in_env:
+            monkeypatch.setenv("SKEWCOUNT_CAP", raw)
+        assert_one_error_line(*run(capsys, *argv), name=name)
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
+    def test_usage_error_is_one_line(self, capsys, tmp_path, argv):
+        if argv[0] == "render":
+            argv = [*argv, "-o", str(tmp_path / "x.svg")]
+        assert_one_error_line(*run(capsys, *argv), name="skewcount")
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: skewcount count")
 
     def test_negative_tiling_index(self, capsys, tmp_path):
         code, _, err = run(capsys, "render", "1", "--tiling", "-1", "-o", str(tmp_path / "x.svg"))
@@ -716,6 +789,26 @@ class TestIntegerFlags:
         monkeypatch.setenv("SKEWCOUNT_CAP", raw)
         code, out, _ = run(capsys, "count", "3,2,1", "--method", "enum")
         assert (code, out) == (0, "14\n")
+
+    @pytest.mark.parametrize("raw", [" 1 ", "01", "\t1\n"])
+    def test_every_flag_keeps_its_value(self, capsys, tmp_path, raw):
+        code, out, _ = run(capsys, "enumerate", "2,1", "paths", "--limit", raw)
+        assert (code, out.splitlines()[-1]) == (0, "... truncated: showing 1 of 5")
+        code, out, _ = run(capsys, "verify", "2,1", "--jobs", raw)
+        assert (code, len(out.splitlines())) == (0, 1)
+        by_raw, by_one = tmp_path / "raw.svg", tmp_path / "one.svg"
+        run(capsys, "render", "2,1", "--tiling", raw, "-o", str(by_raw))
+        run(capsys, "render", "2,1", "--tiling", "1", "-o", str(by_one))
+        assert by_raw.read_bytes() == by_one.read_bytes()
+
+    def test_shape_and_box_keep_their_values(self, capsys):
+        assert run(capsys, "count", " 2 , 1 ") == (0, "5\n", "")
+        assert run(capsys, "count", "3, 2 /\t1\n") == (0, "8\n", "")
+        # a --box side takes whitespace around its digits, as a shape part does
+        for box in ["2x3", " 2 X 3 "]:
+            code, out, _ = run(capsys, "verify", "--box", box)
+            shapes = [json.loads(line)["shape"] for line in out.splitlines()]
+            assert (code, len(shapes), shapes[-1]) == (0, 50, "3,3/3,3")
 
 
 class FakePool:

@@ -79,7 +79,7 @@ def test_parse_rejects_garbage():
             parse_shape(bad)
 
 
-@pytest.mark.parametrize("bad", ["1_0", "+3", "\u0663", "1 0", "2,1/\u0663"])
+@pytest.mark.parametrize("bad", ["1_0", "+3", "\u0663", "1 0", "2,1/\u0663", "-0", "2/ -0"])
 def test_parse_accepts_only_ascii_digits(bad):
     # int() takes "1_0" as 10, "+3" as 3 and the Arabic-Indic digit as 3
     with pytest.raises(ShapeError):
