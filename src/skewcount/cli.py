@@ -17,13 +17,12 @@ from .errors import (
     InvariantError,
     ShapeError,
     capped,
-    check_depth,
     count_capped,
 )
 from .kreweras import kreweras_count
 from .paths import LatticePath, count_paths_dp, iter_paths, path_leaves
 from .shapes import (
-    SkewShape, format_shape, parse_integer, parse_shape, partitions_in_box, subpartitions,
+    SkewShape, clip, format_shape, parse_integer, parse_shape, partitions_in_box, subpartitions,
 )
 
 DEFAULT_CAP = 1_000_000
@@ -34,25 +33,16 @@ CAP_ENV = "SKEWCOUNT_CAP"
 # The tables look names up at call time, so patches take effect.
 
 
-def _tiling_region(shape: SkewShape):
-    from .tilings import region_from_shape, region_lozenges
-
-    # the tiling search recurses once per lozenge, so a region too deep to
-    # search is refused from the shape, before it is built
-    check_depth(region_lozenges(shape))
-    return region_from_shape(shape)
-
-
 def _tiling_leaves(shape: SkewShape):
     from .tilings import tiling_leaves
 
-    return tiling_leaves(_tiling_region(shape))
+    return tiling_leaves(shape)
 
 
 def _tilings(shape: SkewShape):
     from .tilings import iter_tilings
 
-    return iter_tilings(_tiling_region(shape))
+    return iter_tilings(shape)
 
 
 def _family_leaves(shape: SkewShape):
@@ -274,16 +264,14 @@ def cmd_render(args: argparse.Namespace) -> int:
         # drawing index + 1 tilings meets the cap exactly when index >= cap
         if index >= cap:
             raise CapExceededError(cap)
-        region = _tiling_region(shape)
-        for i, tiling in enumerate(capped(iter_tilings(region), cap)):
+        for i, tiling in enumerate(capped(iter_tilings(shape), cap)):
             if i == index:
                 break
         else:
             raise InvariantError(f"tiling search ended before index {index} of {total}")
     else:
         tiling = lattice_path_to_tiling(shape, LatticePath((0, 0), args.path))
-        region = region_from_shape(shape)
-    svg = render_svg(region, tiling, args.shade)
+    svg = render_svg(region_from_shape(shape), tiling, args.shade)
     try:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(svg)
@@ -305,7 +293,8 @@ class _Parser(argparse.ArgumentParser):
     """Hands usage errors to main as ShapeErrors, so they print its one line."""
 
     def error(self, message: str):
-        raise ShapeError(f"{self.prog}: {message}")
+        # argparse echoes the bad word it was given, so each word is clipped
+        raise ShapeError(f"{self.prog}: " + " ".join(map(clip, message.split(" "))))
 
 
 def build_parser() -> argparse.ArgumentParser:

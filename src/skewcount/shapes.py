@@ -25,16 +25,20 @@ from .paths import LatticePath, path_from_north_record
 _INTEGER = re.compile(r"\s*(-?[0-9]+)\s*")
 
 
+def clip(text: str) -> str:
+    """At most 40 characters of text echoed into an error line, then "..." if cut."""
+    return text if len(text) <= 40 else f"{text[:40]}..."
+
+
 def parse_integer(text: str, what: str, low: int) -> int:
     """Read a shape part, or a CLI flag or variable, as an int at least `low`.
 
     The only reader of outside text as an int; its one-line ShapeError names
-    `what` and echoes at most 40 characters of the text.
+    `what` and echoes the text through :func:`clip`.
     """
     match = _INTEGER.fullmatch(text)
     if match is None:
-        got = repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
-        raise ShapeError(f"{what} must be an integer, got {got}")
+        raise ShapeError(f"{what} must be an integer, got {clip(repr(text))}")
     digits = match.group(1)
     try:
         value = int(digits)
@@ -54,15 +58,15 @@ class Partition(tuple):
         if type(parts) is cls:  # already checked and trimmed
             return parts
         parts = tuple(parts)
-        for p in parts:
+        for i, p in enumerate(parts, 1):
             # no coercion: int() would take 2.5, "3" or True and count a different shape
             if type(p) is not int:
-                raise ShapeError(f"partition part {p!r} is not an int")
+                raise ShapeError(f"partition part {clip(repr(p))} is not an int")
             if p < 0:
-                raise NegativePartError(f"negative part {p} in {parts}")
-        for a, b in zip(parts, parts[1:]):
+                raise NegativePartError(f"part {i} ({p}) is negative")
+        for i, (a, b) in enumerate(zip(parts, parts[1:]), 1):
             if b > a:
-                raise NonMonotoneError(f"parts not weakly decreasing: {parts}")
+                raise NonMonotoneError(f"part {i + 1} ({b}) is larger than part {i} ({a})")
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         return super().__new__(cls, parts)
@@ -97,7 +101,7 @@ class SkewShape(NamedTuple("SkewShape", [("outer", Partition), ("inner", Partiti
         outer, inner = Partition(outer), Partition(inner)
         if len(inner) > len(outer):
             raise NotContainedError(
-                f"inner partition {inner.parts} has more rows than outer {outer.parts}"
+                f"inner partition has {len(inner)} rows, outer has {len(outer)}"
             )
         for i in range(len(inner)):
             if inner[i] > outer[i]:

@@ -154,14 +154,18 @@ def _interior_triangles(bounds: tuple[tuple[int, int], ...], width: int) -> list
     # row b, between heights b and b+1, runs from the inner profile's north step
     # b+1 to the pushed outer profile's step b+2; the v-edges that close the walk,
     # (1,-1)-(0,0) and (width+1,n-1)-(width,n), take the first UP out of the
-    # bottom row b = -1 and add one UP to the end of the top row b = n-1
+    # bottom row b = -1 and add one UP to the end of the top row b = n-1. Rows
+    # list a ascending, UP before DOWN: the tiling search's order
     n = len(bounds)
     firsts = (0, *(lo for lo, _ in bounds))
     lasts = (*(hi for _, hi in bounds), width - 1)
     out = []
     for b, first, last in zip(range(-1, n), firsts, lasts):
-        out.extend(Triangle(a, b, False) for a in range(first, last + 1))
-        out.extend(Triangle(a, b, True) for a in range(first + (b == -1), last + (b == n - 1) + 1))
+        for a in range(first, last + (b == n - 1) + 1):
+            if a > first or b > -1:
+                out.append(Triangle(a, b, True))
+            if a <= last:
+                out.append(Triangle(a, b, False))
     return out
 
 
@@ -197,15 +201,15 @@ def region_from_shape(shape: SkewShape) -> Region:
     return Region(walk, frozenset(triangles))
 
 
-def iter_tilings(region: Region) -> Iterator[Tiling]:
-    """All tilings of the region, lazily, by backtracking perfect-matching search.
+def iter_tilings(shape: SkewShape) -> Iterator[Tiling]:
+    """All tilings of the shape's region, lazily, by backtracking perfect-matching search.
 
     Each tiling is built from a leaf of :func:`tiling_leaves`.
     """
-    return (Tiling(frozenset(chosen)) for chosen in tiling_leaves(region))
+    return (Tiling(frozenset(chosen)) for chosen in tiling_leaves(shape))
 
 
-def tiling_leaves(region: Region) -> Iterator[list[Lozenge]]:
+def tiling_leaves(shape: SkewShape) -> Iterator[list[Lozenge]]:
     """The search behind :func:`iter_tilings`: at each leaf, its live list of chosen lozenges.
 
     The list changes as the search resumes, so a caller that keeps a tiling
@@ -216,24 +220,26 @@ def tiling_leaves(region: Region) -> Iterator[list[Lozenge]]:
     Deliberately knows nothing about paths, so it can serve as an oracle
     for the path-based counts.
 
-    The pairing table is built once: triangles are numbered in search order,
-    and each UP triangle's T1, T2, T3 lozenge is listed at both its triangles'
-    positions (:func:`lozenge_triangles`) if both are in the region, which
-    lists a DOWN triangle's options in kind order too. The search tracks
-    coverage as one flag per position and recurses once per lozenge, so a
-    region of more lozenges than the recursion limit is a ShapeError up front.
+    Triangles are numbered in the order the region's rows list them, which
+    is search order. The pairing table, built once, lists each UP triangle's
+    T1, T2, T3 lozenge at both its triangles' positions when the DOWN one, at
+    the kind's offset from :func:`lozenge_triangles`, is in the region (so a
+    DOWN triangle's options come in kind order too). Coverage is a flag per
+    position; the search recurses once per lozenge, so a region of more
+    lozenges than the recursion limit is a ShapeError at the call.
     """
-    check_depth(len(region.triangles) // 2)
-    order = sorted(region.triangles, key=lambda t: (t.b, t.a, not t.up))
+    check_depth(region_lozenges(shape))
+    order = _interior_triangles(shape.north_step_bounds(), shape.width)
     position = {t: i for i, t in enumerate(order)}
+    downs = [(kind, lozenge_triangles(Lozenge(kind, 0, 0))[1]) for kind in (T1, T2, T3)]
     options: list[list[tuple[Lozenge, int]]] = [[] for _ in order]
     for i, t in enumerate(order):
         if not t.up:
             continue
-        for kind in (T1, T2, T3):
-            loz = Lozenge(kind, t.a, t.b)
-            j = position.get(lozenge_triangles(loz)[1])
+        for kind, down in downs:
+            j = position.get(Triangle(t.a + down.a, t.b + down.b, False))
             if j is not None:
+                loz = Lozenge(kind, t.a, t.b)
                 options[i].append((loz, j))
                 options[j].append((loz, i))
     covered = [False] * len(order)
@@ -259,9 +265,9 @@ def tiling_leaves(region: Region) -> Iterator[list[Lozenge]]:
     return go(0)
 
 
-def enumerate_tilings(region: Region, cap: int | None = None) -> list[Tiling]:
-    """All tilings of the region, in the search order of :func:`iter_tilings`."""
-    return list(capped(iter_tilings(region), cap))
+def enumerate_tilings(shape: SkewShape, cap: int | None = None) -> list[Tiling]:
+    """All tilings of the shape's region, in the search order of :func:`iter_tilings`."""
+    return list(capped(iter_tilings(shape), cap))
 
 
 def _side_keys(direction: str, loz: Lozenge) -> tuple[TriPoint, TriPoint]:

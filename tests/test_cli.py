@@ -460,7 +460,9 @@ class TestMethodTable:
         def no_item(*args):
             raise AssertionError("built an item to count it")
 
+        # the tiling search reads its triangles off the shape, so it builds no region
         for target in ("skewcount.paths.path_from_north_record", "skewcount.tilings.Tiling",
+                       "skewcount.tilings.region_from_shape",
                        "skewcount.gv.PathFamily", "skewcount.gv.LatticePath"):
             monkeypatch.setattr(target, no_item)
         shape = cli.parse_shape("7,7,6,5,4/3,2")
@@ -703,13 +705,23 @@ INPUT_POINTS = {
     "box-cols": ("--box side", lambda raw: ["verify", f"--box=2x{raw}"], False),
 }
 
-# usage errors that argparse finds, and which print main's line all the same
+# usage errors that argparse finds, and which print main's line all the same;
+# the last three echo a long word, which the line clips
 USAGE_ERRORS = [
     ["count"],
     ["count", "2,1", "--method", "foo"],
     ["verify", "--bogus"],
     ["render", "1", "--tiling", "0", "--path", "EN"],
+    pytest.param(["count", "2,1", "--method", "x" * 5000], id="long-method"),
+    pytest.param(["enumerate", "2,1", "y" * 5000], id="long-what"),
+    pytest.param(["render", "2,1", "--path", "NENE", "--shade", "z" * 5000], id="long-shade"),
 ]
+
+# bad partitions of 3,001 parts: (the shape text, the message its line gives)
+LONG_SHAPES = {
+    "rising-part": (",".join(["1"] * 3000 + ["2"]), "part 3001 (2) is larger than part 3000 (1)"),
+    "inner-rows": ("3/" + ",".join(["1"] * 3000), "inner partition has 3000 rows, outer has 1"),
+}
 
 
 def assert_one_error_line(code, out, err, name) -> None:
@@ -770,6 +782,11 @@ class TestIntegerFlags:
         if argv[0] == "render":
             argv = [*argv, "-o", str(tmp_path / "x.svg")]
         assert_one_error_line(*run(capsys, *argv), name="skewcount")
+
+    @pytest.mark.parametrize("case", LONG_SHAPES)
+    def test_long_shape_error_is_short(self, capsys, case):
+        text, name = LONG_SHAPES[case]
+        assert_one_error_line(*run(capsys, "count", text), name=name)
 
     def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

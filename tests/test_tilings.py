@@ -187,9 +187,9 @@ class TestRegion:
 
     def test_ribbon_of_empty_rows(self):
         # fully degenerate shape: the region is a width-one ribbon, tiled one way
-        region = region_from_shape(parse_shape("2,1/2,1"))
-        assert len(region.triangles) == 8
-        assert len(enumerate_tilings(region)) == 1
+        shape = parse_shape("2,1/2,1")
+        assert len(region_from_shape(shape).triangles) == 8
+        assert len(enumerate_tilings(shape)) == 1
 
     def test_matches_ray_cast_on_5x5_box(self):
         for shape in sweep(5, 5):
@@ -218,46 +218,46 @@ class TestRegion:
 
 class TestEnumerateTilings:
     def test_unit_hexagon_order(self):
-        got = enumerate_tilings(region_from_shape(HEXAGON))
+        got = enumerate_tilings(HEXAGON)
         assert [t.lozenges for t in got] == HEX_TILINGS
 
     def test_counts_match_determinant(self):
         for shape in sweep(2, 2):
-            region = region_from_shape(shape)
-            assert len(enumerate_tilings(region)) == kreweras_count(shape)
+            assert len(enumerate_tilings(shape)) == kreweras_count(shape)
 
     def test_square_shape(self):
-        assert len(enumerate_tilings(region_from_shape(parse_shape("2,2")))) == 6
+        assert len(enumerate_tilings(parse_shape("2,2"))) == 6
 
     def test_empty_region(self):
-        assert enumerate_tilings(Region((), frozenset())) == [Tiling(frozenset())]
+        assert enumerate_tilings(parse_shape("0")) == [Tiling(frozenset())]
 
     def test_tilings_cover_region_exactly(self):
-        region = region_from_shape(parse_shape("2,1"))
-        for tiling in enumerate_tilings(region):
+        shape = parse_shape("2,1")
+        region = region_from_shape(shape)
+        for tiling in enumerate_tilings(shape):
             covered = [t for loz in tiling.lozenges for t in lozenge_triangles(loz)]
             assert len(covered) == len(set(covered))
             assert set(covered) == region.triangles
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
-            enumerate_tilings(region_from_shape(parse_shape("2,2")), cap=3)
+            enumerate_tilings(parse_shape("2,2"), cap=3)
 
     def test_to_json_sorted(self):
-        tiling = enumerate_tilings(region_from_shape(HEXAGON))[0]
+        tiling = enumerate_tilings(HEXAGON)[0]
         assert tiling.to_json() == {"lozenges": [[1, 0, 0], [2, 1, -1], [3, 1, 0]]}
 
     def test_matches_set_search_on_4x4_box(self):
         for shape in sweep(4, 4):
             region = region_from_shape(shape)
-            assert list(iter_tilings(region)) == list(set_search_tilings(region)), shape
+            assert list(iter_tilings(shape)) == list(set_search_tilings(region)), shape
 
     @given(skew_shapes(max_rows=6, max_width=6))
     @example(parse_shape("2,1/2,1"))
     @example(parse_shape("20,20,15,9,9,4,1/20,15,15,9,4,4"))
     def test_matches_set_search_on_random_shapes(self, shape):
         region = region_from_shape(shape)
-        assert list(iter_tilings(region)) == list(set_search_tilings(region))
+        assert list(iter_tilings(shape)) == list(set_search_tilings(region))
 
     def test_pairing_table_is_built_once(self, monkeypatch):
         calls = []
@@ -267,27 +267,28 @@ class TestEnumerateTilings:
             return lozenge_triangles(loz)
 
         monkeypatch.setattr("skewcount.tilings.lozenge_triangles", counted)
-        region = region_from_shape(parse_shape("7,7,6,5,4/3,2"))
-        assert sum(1 for _ in iter_tilings(region)) == 680
-        assert len(calls) == 3 * region.up_count == 108
+        assert sum(1 for _ in iter_tilings(parse_shape("7,7,6,5,4/3,2"))) == 680
+        assert len(calls) == 3
 
-    def test_too_deep_is_refused_at_the_call(self):
+    def test_too_deep_is_refused_at_the_call(self, monkeypatch):
         # 1,201 lozenges, past the default recursion limit of 1,000: refused
-        # when called, not at the first draw
-        region = region_from_shape(SkewShape((600,)))
+        # when called, not at the first draw, and before a region is built
+        def no_region(shape):
+            raise AssertionError("built a region too deep to search")
+
+        monkeypatch.setattr("skewcount.tilings.region_from_shape", no_region)
         with pytest.raises(ShapeError, match="deeper than Python's recursion limit"):
-            iter_tilings(region)
+            iter_tilings(SkewShape((600,)))
 
 
 class TestCensus:
     def test_unit_hexagon(self):
-        for tiling in enumerate_tilings(region_from_shape(HEXAGON)):
+        for tiling in enumerate_tilings(HEXAGON):
             assert tiling_type_census(tiling) == (1, 1, 1)
 
     def test_census_is_shape_data(self):
         for shape in sweep(2, 2):
-            region = region_from_shape(shape)
-            for tiling in enumerate_tilings(region):
+            for tiling in enumerate_tilings(shape):
                 assert tiling_type_census(tiling) == (shape.m, shape.width, shape.n)
 
     def test_empty(self):
@@ -296,7 +297,7 @@ class TestCensus:
 
 class TestChainExtraction:
     def test_single_chain_for_direction_a(self):
-        for tiling in enumerate_tilings(region_from_shape(HEXAGON)):
+        for tiling in enumerate_tilings(HEXAGON):
             family = extract_family(tiling, "a")
             assert len(family.paths) == 1
             assert sorted(loz.kind for loz in family.paths[0]) == [T2, T3]
@@ -305,15 +306,14 @@ class TestChainExtraction:
         for shape in sweep(2, 3):
             if shape.n == 0:
                 continue
-            region = region_from_shape(shape)
-            tiling = enumerate_tilings(region)[0]
+            tiling = enumerate_tilings(shape)[0]
             assert len(extract_family(tiling, "a").paths) == 1
             assert len(extract_family(tiling, "b").paths) == shape.n
             assert len(extract_family(tiling, "c").paths) == shape.width
 
     def test_direction_c_partitions_its_kinds(self):
         shape = parse_shape("3,2/1")
-        for tiling in enumerate_tilings(region_from_shape(shape)):
+        for tiling in enumerate_tilings(shape):
             family = extract_family(tiling, "c")
             chained = [loz for chain in family.paths for loz in chain]
             eligible = [loz for loz in tiling.lozenges if loz.kind in (T1, T2)]
@@ -350,7 +350,7 @@ class TestChainExtraction:
 
 class TestPathBijection:
     def test_hexagon_labels(self):
-        tilings = enumerate_tilings(region_from_shape(HEXAGON))
+        tilings = enumerate_tilings(HEXAGON)
         steps = [family_A_to_lattice_path(extract_family(t, "a")).steps for t in tilings]
         assert steps == ["EN", "NE"]
 
@@ -370,12 +370,11 @@ class TestPathBijection:
         paths = enumerate_paths(shape)
         images = {lattice_path_to_tiling(shape, p) for p in paths}
         assert len(images) == len(paths) == 5
-        assert images == set(enumerate_tilings(region_from_shape(shape)))
+        assert images == set(enumerate_tilings(shape))
 
     def test_path_length(self):
         for shape in sweep(2, 3):
-            region = region_from_shape(shape)
-            for tiling in enumerate_tilings(region):
+            for tiling in enumerate_tilings(shape):
                 path = family_A_to_lattice_path(extract_family(tiling, "a"))
                 assert len(path.steps) == shape.width + shape.n
 
@@ -407,7 +406,7 @@ class TestFamilyB:
     def test_hexagon_paths(self):
         config = gv_endpoints(HEXAGON)
         seen = set()
-        for tiling in enumerate_tilings(region_from_shape(HEXAGON)):
+        for tiling in enumerate_tilings(HEXAGON):
             family = family_B_to_z2_paths(extract_family(tiling, "b"), HEXAGON)
             (path,) = family.paths
             assert path.start == config.starts[0]
@@ -417,7 +416,7 @@ class TestFamilyB:
 
     def test_images_equal_disjoint_families(self):
         shape = parse_shape("2,1")
-        tilings = enumerate_tilings(region_from_shape(shape))
+        tilings = enumerate_tilings(shape)
         images = {
             family_B_to_z2_paths(extract_family(t, "b"), shape) for t in tilings
         }
@@ -427,14 +426,14 @@ class TestFamilyB:
         for shape in sweep(2, 3):
             if shape.n == 0:
                 continue
-            tiling = enumerate_tilings(region_from_shape(shape))[0]
+            tiling = enumerate_tilings(shape)[0]
             family = family_B_to_z2_paths(extract_family(tiling, "b"), shape)
             for i, path in enumerate(family.paths):
                 assert len(path.steps) == shape.outer.part(i) - shape.inner.part(i) + 1
 
     def test_disjointness(self):
         shape = parse_shape("3,2,1")
-        for tiling in enumerate_tilings(region_from_shape(shape)):
+        for tiling in enumerate_tilings(shape):
             family = family_B_to_z2_paths(extract_family(tiling, "b"), shape)
             assert family.is_vertex_disjoint()
 
@@ -447,7 +446,7 @@ class TestFamilyB:
 
 class TestMalformedFamilies:
     def test_wrong_direction(self):
-        tiling = enumerate_tilings(region_from_shape(HEXAGON))[0]
+        tiling = enumerate_tilings(HEXAGON)[0]
         with pytest.raises(MalformedFamilyError):
             family_A_to_lattice_path(extract_family(tiling, "b"))
         with pytest.raises(MalformedFamilyError):
@@ -479,7 +478,7 @@ class TestMalformedFamilies:
             family_B_to_z2_paths(RhombusPathFamily("b", ((),)), HEXAGON)
 
     def test_shape_mismatch(self):
-        tiling = enumerate_tilings(region_from_shape(parse_shape("2,2")))[0]
+        tiling = enumerate_tilings(parse_shape("2,2"))[0]
         family = extract_family(tiling, "b")
         with pytest.raises(MalformedFamilyError):
             family_B_to_z2_paths(family, parse_shape("2,1"))
@@ -487,13 +486,14 @@ class TestMalformedFamilies:
 
 class TestRenderSvg:
     def test_deterministic(self):
-        region = region_from_shape(parse_shape("2,1"))
-        tiling = enumerate_tilings(region)[0]
+        shape = parse_shape("2,1")
+        region = region_from_shape(shape)
+        tiling = enumerate_tilings(shape)[0]
         assert render_svg(region, tiling) == render_svg(region, tiling)
 
     def test_structure(self):
         region = region_from_shape(HEXAGON)
-        tiling = enumerate_tilings(region)[0]
+        tiling = enumerate_tilings(HEXAGON)[0]
         svg = render_svg(region, tiling, "both")
         assert svg.startswith("<svg ")
         assert svg.rstrip().endswith("</svg>")
@@ -503,7 +503,7 @@ class TestRenderSvg:
 
     def test_shading_modes(self):
         region = region_from_shape(HEXAGON)
-        tiling = enumerate_tilings(region)[0]
+        tiling = enumerate_tilings(HEXAGON)[0]
         light_only = render_svg(region, tiling, "a")
         assert "#d9d9d9" in light_only and "#7a7a7a" not in light_only
         dark_only = render_svg(region, tiling, "b")
