@@ -32,8 +32,8 @@ _SUBMODULE = {
             "is_admissible", "path_from_north_record",
         ),
         "shapes": (
-            "Partition", "ProfilePair", "SkewShape", "format_shape", "parse_shape",
-            "partitions_in_box", "profiles", "subpartitions",
+            "Partition", "SkewShape", "format_shape", "parse_shape", "partitions_in_box",
+            "subpartitions",
         ),
         "tilings": (
             "T1", "T2", "T3", "Lozenge", "Region", "RhombusPathFamily", "Tiling",

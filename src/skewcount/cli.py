@@ -293,8 +293,10 @@ class _Parser(argparse.ArgumentParser):
     """Hands usage errors to main as ShapeErrors, so they print its one line."""
 
     def error(self, message: str):
-        # argparse echoes the bad word it was given, so each word is clipped
-        raise ShapeError(f"{self.prog}: " + " ".join(map(clip, message.split(" "))))
+        # argparse echoes the words it was given: each word is clipped, and so is
+        # the line, as `unrecognized arguments:` lists every extra word
+        words = " ".join(map(clip, message.split(" ")))
+        raise ShapeError(clip(f"{self.prog}: {words}", 170))
 
 
 def build_parser() -> argparse.ArgumentParser:

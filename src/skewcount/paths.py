@@ -8,13 +8,11 @@ increasing sequence of x-coordinates of its north steps, read bottom-up.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import MAX_DP_CELLS, ShapeError, WrongEndpointsError, capped, check_size
 from .exact import binomial
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .shapes import SkewShape
+from .shapes import SkewShape
 
 Point = tuple[int, int]
 
@@ -83,7 +81,7 @@ def path_from_north_record(record: tuple[int, ...], width: int) -> LatticePath:
     return LatticePath((0, 0), "".join(steps))
 
 
-def _check_endpoints(shape: "SkewShape", path: LatticePath) -> None:
+def _check_endpoints(shape: SkewShape, path: LatticePath) -> None:
     if path.start != (0, 0) or path.end != (shape.width, shape.n):
         raise WrongEndpointsError(
             f"path runs {path.start}->{path.end}, "
@@ -91,7 +89,7 @@ def _check_endpoints(shape: "SkewShape", path: LatticePath) -> None:
         )
 
 
-def is_admissible(shape: "SkewShape", path: LatticePath) -> bool:
+def is_admissible(shape: SkewShape, path: LatticePath) -> bool:
     """True iff the path lies weakly between the shape's two boundary profiles.
 
     Equivalently, its north record c satisfies lo_k <= c_k <= hi_k where
@@ -104,7 +102,7 @@ def is_admissible(shape: "SkewShape", path: LatticePath) -> bool:
     )
 
 
-def iter_paths(shape: "SkewShape") -> Iterator[LatticePath]:
+def iter_paths(shape: SkewShape) -> Iterator[LatticePath]:
     """All admissible paths of the shape, lazily, lexicographically by north record.
 
     Each path is built from a leaf of :func:`path_leaves`.
@@ -113,7 +111,7 @@ def iter_paths(shape: "SkewShape") -> Iterator[LatticePath]:
     return (path_from_north_record(tuple(rec), width) for rec in path_leaves(shape))
 
 
-def path_leaves(shape: "SkewShape") -> Iterator[list[int]]:
+def path_leaves(shape: SkewShape) -> Iterator[list[int]]:
     """The search behind :func:`iter_paths`: at each leaf, its live north-record list.
 
     The list changes as the search resumes, so a caller that keeps a record
@@ -136,12 +134,12 @@ def path_leaves(shape: "SkewShape") -> Iterator[list[int]]:
     return go(0, 0)
 
 
-def enumerate_paths(shape: "SkewShape", cap: int | None = None) -> list[LatticePath]:
+def enumerate_paths(shape: SkewShape, cap: int | None = None) -> list[LatticePath]:
     """All admissible paths of the shape, ordered lexicographically by north record."""
     return list(capped(iter_paths(shape), cap))
 
 
-def count_paths_dp(shape: "SkewShape") -> int:
+def count_paths_dp(shape: SkewShape) -> int:
     """Number of admissible paths, by a row-by-row prefix-sum recurrence.
 
     Runs in O(n * width) time and never enumerates paths, so it has no cap;

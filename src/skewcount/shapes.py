@@ -1,10 +1,10 @@
-"""Partitions, skew shapes, and the boundary profile paths that define containment.
+"""Partitions, skew shapes, and the text that names them.
 
-A skew shape pairs an outer partition with a contained inner one. Its two
-*profiles* are the monotone boundary paths from the southwestern corner
-(0, 0) to the northeastern corner (width, n), with x eastward, y upward and
-row n at the bottom; a lattice path lies in the shape iff it runs weakly
-between them.
+A skew shape pairs an outer partition with a contained inner one. With x
+eastward, y upward and row n at the bottom, a monotone path from the
+southwestern corner (0, 0) to the northeastern corner (width, n) lies in the
+shape iff each north step, read bottom-up, is within its row's inner and
+outer parts: :meth:`SkewShape.north_step_bounds`.
 """
 
 from __future__ import annotations
@@ -18,16 +18,15 @@ from .errors import (
     NotContainedError,
     ShapeError,
 )
-from .paths import LatticePath, path_from_north_record
 
 # README's integer grammar: ASCII digits with whitespace around them and an
 # optional leading "-"; int() alone would also take "1_0", "+3" and other scripts
 _INTEGER = re.compile(r"\s*(-?[0-9]+)\s*")
 
 
-def clip(text: str) -> str:
-    """At most 40 characters of text echoed into an error line, then "..." if cut."""
-    return text if len(text) <= 40 else f"{text[:40]}..."
+def clip(text: str, limit: int = 40) -> str:
+    """At most `limit` characters of text echoed into an error line, then "..." if cut."""
+    return text if len(text) <= limit else f"{text[:limit]}..."
 
 
 def parse_integer(text: str, what: str, low: int) -> int:
@@ -130,28 +129,6 @@ class SkewShape(NamedTuple("SkewShape", [("outer", Partition), ("inner", Partiti
         return tuple(
             (self.inner.part(n - k), self.outer.part(n - k)) for k in range(1, n + 1)
         )
-
-
-class ProfilePair(NamedTuple):
-    """The shape's two boundary paths; both run from (0, 0) to (width, n)."""
-
-    mu_profile: LatticePath
-    lambda_profile: LatticePath
-
-
-def profiles(shape: SkewShape) -> ProfilePair:
-    """Boundary profiles of the shape.
-
-    The k-th north step (bottom-up) of the inner profile sits at
-    x = inner_{n-k+1}, of the outer profile at x = outer_{n-k+1}; the shape
-    is everything weakly between them.
-    """
-    bounds = shape.north_step_bounds()
-    width = shape.width
-    return ProfilePair(
-        mu_profile=path_from_north_record(tuple(lo for lo, _ in bounds), width),
-        lambda_profile=path_from_north_record(tuple(hi for _, hi in bounds), width),
-    )
 
 
 def parse_shape(text: str) -> SkewShape:

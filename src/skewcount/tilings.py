@@ -42,8 +42,8 @@ from .errors import (
     check_depth,
     check_size,
 )
-from .paths import STEP_EAST, STEP_NORTH, LatticePath, is_admissible
-from .shapes import SkewShape, format_shape, profiles
+from .paths import STEP_EAST, STEP_NORTH, LatticePath, is_admissible, path_from_north_record
+from .shapes import SkewShape, format_shape
 
 if TYPE_CHECKING:  # gv is loaded only when family_B_to_z2_paths runs
     from .gv import PathFamily
@@ -150,15 +150,18 @@ _CHAIN_SIDES = {
 }
 
 
-def _interior_triangles(bounds: tuple[tuple[int, int], ...], width: int) -> list[Triangle]:
-    # row b, between heights b and b+1, runs from the inner profile's north step
-    # b+1 to the pushed outer profile's step b+2; the v-edges that close the walk,
+def _interior_triangles(shape: SkewShape) -> list[Triangle]:
+    # the one reader of the region's triangles, behind the size guard. Row b,
+    # between heights b and b+1, runs from the inner profile's north step b+1
+    # to the pushed outer profile's step b+2; the v-edges that close the walk,
     # (1,-1)-(0,0) and (width+1,n-1)-(width,n), take the first UP out of the
     # bottom row b = -1 and add one UP to the end of the top row b = n-1. Rows
     # list a ascending, UP before DOWN: the tiling search's order
+    region_lozenges(shape)
+    bounds = shape.north_step_bounds()
     n = len(bounds)
     firsts = (0, *(lo for lo, _ in bounds))
-    lasts = (*(hi for _, hi in bounds), width - 1)
+    lasts = (*(hi for _, hi in bounds), shape.width - 1)
     out = []
     for b, first, last in zip(range(-1, n), firsts, lasts):
         for a in range(first, last + (b == n - 1) + 1):
@@ -179,22 +182,24 @@ def region_lozenges(shape: SkewShape) -> int:
 
 
 def region_from_shape(shape: SkewShape) -> Region:
-    """The tiling region of a shape: inner profile, then the outer profile
-    pushed one unit along v, walked as a closed polygon, with its triangles
-    read row by row between the two profiles' north steps. A shape of more
-    than ``MAX_REGION_LOZENGES`` lozenges is a ShapeError, raised up front."""
+    """The tiling region of a shape, to draw or to check a tiling against: the
+    inner profile, then the outer profile pushed one unit along v, walked as a
+    closed polygon, with its triangles read row by row between the two
+    profiles' north steps. A shape of more than ``MAX_REGION_LOZENGES``
+    lozenges is a ShapeError, raised before the walk is built."""
     region_lozenges(shape)
     if shape.n == 0:
         return Region((), frozenset())
-    pair = profiles(shape)
-    near = [TriPoint(x, y) for x, y in pair.mu_profile.vertices()]
-    far = [TriPoint(x + 1, y - 1) for x, y in pair.lambda_profile.vertices()]
+    # the inner and outer profiles: the paths whose north records are the lo and hi bounds
+    los, his = zip(*shape.north_step_bounds())
+    near = [TriPoint(x, y) for x, y in path_from_north_record(los, shape.width).vertices()]
+    far = [TriPoint(x + 1, y - 1) for x, y in path_from_north_record(his, shape.width).vertices()]
     walk = tuple(near + far[::-1])
     if len(set(walk)) != len(walk):
         raise InvariantError(
             f"boundary walk revisits a vertex for shape {format_shape(shape)}"
         )
-    triangles = _interior_triangles(shape.north_step_bounds(), shape.width)
+    triangles = _interior_triangles(shape)
     ups = sum(1 for t in triangles if t.up)
     if 2 * ups != len(triangles):
         raise InvariantError("region has unequal UP/DOWN triangle counts")
@@ -229,7 +234,7 @@ def tiling_leaves(shape: SkewShape) -> Iterator[list[Lozenge]]:
     lozenges than the recursion limit is a ShapeError at the call.
     """
     check_depth(region_lozenges(shape))
-    order = _interior_triangles(shape.north_step_bounds(), shape.width)
+    order = _interior_triangles(shape)
     position = {t: i for i, t in enumerate(order)}
     downs = [(kind, lozenge_triangles(Lozenge(kind, 0, 0))[1]) for kind in (T1, T2, T3)]
     options: list[list[tuple[Lozenge, int]]] = [[] for _ in order]
@@ -359,14 +364,15 @@ def lattice_path_to_tiling(shape: SkewShape, path: LatticePath) -> Tiling:
 
     Each E step at (a, b) lays Lozenge(T2, a+1, b-1), each N step
     Lozenge(T3, a, b); the rest of the region splits uniquely into sheared
-    cells (T1 lozenges), checked to cover each triangle once. It does not
-    recurse, so the region's size guard bounds it, not the recursion limit.
+    cells (T1 lozenges), checked to cover each triangle once. It reads the
+    region's rows, not a :class:`Region`: the row reader's size guard bounds
+    it, not the recursion limit, since it does not recurse.
     """
     if not is_admissible(shape, path):  # wrong corners raise WrongEndpointsError
         raise NotAdmissibleError(
             f"path {path.steps!r} leaves shape {format_shape(shape)}"
         )
-    region = region_from_shape(shape)
+    triangles = _interior_triangles(shape)
     lozenges = []
     a, b = path.start
     for s in path.steps:
@@ -377,9 +383,9 @@ def lattice_path_to_tiling(shape: SkewShape, path: LatticePath) -> Tiling:
             lozenges.append(Lozenge(T3, a, b))
             b += 1
     on_path = {lozenge_triangles(loz)[0] for loz in lozenges}
-    lozenges += [Lozenge(T1, t.a, t.b) for t in region.triangles if t.up and t not in on_path]
+    lozenges += [Lozenge(T1, t.a, t.b) for t in triangles if t.up and t not in on_path]
     covered = [t for loz in lozenges for t in lozenge_triangles(loz)]
-    if len(covered) != len(region.triangles) or set(covered) != region.triangles:
+    if len(covered) != len(triangles) or set(covered) != set(triangles):
         raise InvariantError(f"path {path.steps!r} does not tile {format_shape(shape)}")
     return Tiling(frozenset(lozenges))
 

@@ -283,6 +283,12 @@ class TestImportBudget:
         result = run_python("-c", ROUTES_LOADED, "render", "2,1", "--path", "NENE", "-o", os.devnull)
         assert (result.returncode, result.stdout) == (0, "['skewcount.tilings']\n")
 
+    def test_shapes_loads_no_other_module(self):
+        # shapes reads no path, so it imports only errors
+        loaded = "sorted(m for m in sys.modules if m.startswith('skewcount.'))"
+        result = run_python("-c", f"import sys, skewcount.shapes; print({loaded})")
+        assert result.stdout == "['skewcount.errors', 'skewcount.shapes']\n"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -394,6 +400,16 @@ class TestRender:
         run(capsys, "render", "1", "--path", "EN", "-o", str(by_path))
         run(capsys, "render", "1", "--tiling", "0", "-o", str(by_index))
         assert by_path.read_bytes() == by_index.read_bytes()
+
+    def test_path_render_builds_one_region(self, capsys, monkeypatch, tmp_path):
+        # the bijection reads the rows, so the one Region is the one drawn
+        import skewcount.tilings as tilings
+
+        calls = []
+        build = tilings.region_from_shape
+        monkeypatch.setattr(tilings, "region_from_shape", lambda s: calls.append(s) or build(s))
+        code, _, _ = run(capsys, "render", "2,1", "--path", "NENE", "-o", str(tmp_path / "p.svg"))
+        assert (code, len(calls)) == (0, 1)
 
     def test_shade_flag(self, capsys, tmp_path):
         out_file = tmp_path / "shade.svg"
@@ -629,6 +645,7 @@ class TestDeepSearch:
         [
             pytest.param(("count", "200000", "--method", "tilings"), id="count-tilings"),
             pytest.param(("render", "200000", "--tiling", "0"), id="render-tiling"),
+            pytest.param(("render", "200000", "--path", "N" + "E" * 200000), id="render-path"),
             pytest.param(("count", "10000000", "--method", "dp"), id="count-dp"),
             pytest.param(("enumerate", "10000000", "paths", "--limit", "1"), id="enumerate-paths"),
         ],
@@ -715,6 +732,8 @@ USAGE_ERRORS = [
     pytest.param(["count", "2,1", "--method", "x" * 5000], id="long-method"),
     pytest.param(["enumerate", "2,1", "y" * 5000], id="long-what"),
     pytest.param(["render", "2,1", "--path", "NENE", "--shade", "z" * 5000], id="long-shade"),
+    pytest.param(["count", "2,1", *["q"] * 3000], id="many-words"),
+    pytest.param(["count", "2,1", *["q" * 100] * 3000], id="many-long-words"),
 ]
 
 # bad partitions of 3,001 parts: (the shape text, the message its line gives)

@@ -14,7 +14,6 @@ from skewcount.shapes import (
     format_shape,
     parse_shape,
     partitions_in_box,
-    profiles,
     subpartitions,
 )
 
@@ -106,44 +105,6 @@ def test_parse_format_round_trip(lam):
     for mu in subpartitions(lam):
         s = SkewShape(Partition(lam), Partition(mu))
         assert parse_shape(format_shape(s)) == s
-
-
-class TestProfiles:
-    def test_square(self):
-        pair = profiles(parse_shape("2,2"))
-        assert pair.lambda_profile.steps == "EENN"
-        assert pair.mu_profile.steps == "NNEE"
-
-    def test_single_cell(self):
-        pair = profiles(parse_shape("1"))
-        assert pair.lambda_profile.steps == "EN"
-        assert pair.mu_profile.steps == "NE"
-
-    def test_degenerate(self):
-        pair = profiles(parse_shape("3,1/2"))
-        assert pair.mu_profile.steps == "NEENE"
-        assert pair.lambda_profile.steps == "ENEEN"
-        assert pair.mu_profile.end == pair.lambda_profile.end == (3, 2)
-
-    def test_north_step_positions(self):
-        s = parse_shape("9,7,6,2/3,1")
-        pair = profiles(s)
-        n = s.n
-        # k-th north step (bottom-up) sits at the (n-k+1)-th part
-        assert pair.mu_profile.north_xs() == tuple(s.inner.part(n - k) for k in range(1, n + 1))
-        assert pair.lambda_profile.north_xs() == tuple(s.outer.part(n - k) for k in range(1, n + 1))
-
-    @given(st.sampled_from(partitions_in_box(4, 4)))
-    def test_profiles_share_endpoints_and_nest(self, lam):
-        for mu in subpartitions(lam):
-            s = SkewShape(Partition(lam), Partition(mu))
-            pair = profiles(s)
-            assert pair.mu_profile.start == pair.lambda_profile.start == (0, 0)
-            assert pair.mu_profile.end == pair.lambda_profile.end == (s.width, s.n)
-            assert all(
-                a <= b
-                for a, b in zip(pair.mu_profile.north_xs(), pair.lambda_profile.north_xs())
-            )
 
 
 def test_partitions_in_box_small():

@@ -372,6 +372,17 @@ class TestPathBijection:
         assert len(images) == len(paths) == 5
         assert images == set(enumerate_tilings(shape))
 
+    def test_builds_no_region(self, monkeypatch):
+        # the bijection reads the region's rows; it needs no outline
+        def no_region(shape):
+            raise AssertionError("built a Region")
+
+        monkeypatch.setattr("skewcount.tilings.region_from_shape", no_region)
+        for shape in sweep(3, 3):
+            images = [lattice_path_to_tiling(shape, p) for p in enumerate_paths(shape)]
+            tilings = enumerate_tilings(shape)
+            assert len(images) == len(tilings) and set(images) == set(tilings)
+
     def test_path_length(self):
         for shape in sweep(2, 3):
             for tiling in enumerate_tilings(shape):
