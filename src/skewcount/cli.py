@@ -11,6 +11,7 @@ import os
 import sys
 import time
 from functools import partial
+from importlib import import_module
 
 from .errors import (
     CapExceededError,
@@ -28,47 +29,20 @@ from .shapes import (
 DEFAULT_CAP = 1_000_000
 CAP_ENV = "SKEWCOUNT_CAP"
 
-# `gv`, `tilings`, `json` and the process pool are imported only by the routes
-# and commands that run them, which keeps them out of every other call's start-up.
-# The tables look names up at call time, so patches take effect.
-
-
-def _tiling_leaves(shape: SkewShape):
-    from .tilings import tiling_leaves
-
-    return tiling_leaves(shape)
-
-
-def _tilings(shape: SkewShape):
-    from .tilings import iter_tilings
-
-    return iter_tilings(shape)
-
-
-def _family_leaves(shape: SkewShape):
-    from .gv import family_leaves, gv_endpoints
-
-    return family_leaves(gv_endpoints(shape))
-
-
-def _families(shape: SkewShape):
-    from .gv import gv_endpoints, iter_disjoint_families
-
-    return iter_disjoint_families(gv_endpoints(shape))
-
-
-def _gv_det(shape: SkewShape, cap: int | None) -> int:
-    from .gv import gv_count, gv_endpoints
-
-    return gv_count(gv_endpoints(shape))
+# the lazy-import rule: a command loads `gv` and `tilings` through _load only
+# when it runs them (and `json` and the process pool only where it uses them),
+# which keeps them out of every other call's start-up. Each table row looks its
+# function up on the module at call time, so patches take effect.
+def _load(name: str):
+    return import_module(f".{name}", __package__)
 
 
 # every search's leaves, from a shape: the count routes drain them through the
 # cap and build no path, tiling or family
 SEARCHES = {
     "enum": lambda shape: path_leaves(shape),
-    "tilings": _tiling_leaves,
-    "gv_enum": _family_leaves,
+    "tilings": lambda shape: _load("tilings").tiling_leaves(shape),
+    "gv_enum": lambda shape: _load("gv").family_leaves(_load("gv").gv_endpoints(shape)),
 }
 
 # every route, in verify's order
@@ -78,21 +52,22 @@ METHODS = {
     "enum": lambda shape, cap: count_capped(SEARCHES["enum"](shape), cap),
     "tilings": lambda shape, cap: count_capped(SEARCHES["tilings"](shape), cap),
     "gv_enum": lambda shape, cap: count_capped(SEARCHES["gv_enum"](shape), cap),
-    "gv_det": _gv_det,
+    "gv_det": lambda shape, cap: _load("gv").gv_count(_load("gv").gv_endpoints(shape)),
 }
 
 # enumerate's listings: what -> (the search's built items from a shape, one item as a text line)
 LISTINGS = {
     "paths": (lambda shape: iter_paths(shape), lambda p: p.steps),
     "tilings": (
-        _tilings,
+        lambda shape: _load("tilings").iter_tilings(shape),
         lambda t: " ".join(f"T{l.kind}({l.a},{l.b})" for l in t.sorted_lozenges()),
     ),
     "families": (
-        _families,
+        lambda shape: _load("gv").iter_disjoint_families(_load("gv").gv_endpoints(shape)),
         lambda f: " | ".join(f"({p.start[0]},{p.start[1]}):{p.steps}" for p in f.paths),
     ),
 }
+
 
 def _resolve_cap(args: argparse.Namespace) -> int:
     if args.cap is not None:
@@ -111,7 +86,8 @@ def cmd_count(args: argparse.Namespace) -> int:
 def _verify_one(shape: SkewShape, cap: int) -> dict:
     # every route's module is loaded before the first clock starts, so
     # elapsed_ms is route time only, in a pool worker too
-    from . import gv, tilings  # noqa: F401
+    _load("gv")
+    _load("tilings")
 
     counts = {}
     elapsed = {}
@@ -249,8 +225,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    from .tilings import iter_tilings, lattice_path_to_tiling, region_from_shape, render_svg
-
+    tilings = _load("tilings")
     shape = parse_shape(args.shape)
     # the cap is read even where it is not used, so a bad one exits 2 on either
     # branch; each branch checks its input before it builds the region, so a
@@ -264,14 +239,14 @@ def cmd_render(args: argparse.Namespace) -> int:
         # drawing index + 1 tilings meets the cap exactly when index >= cap
         if index >= cap:
             raise CapExceededError(cap)
-        for i, tiling in enumerate(capped(iter_tilings(shape), cap)):
+        for i, tiling in enumerate(capped(tilings.iter_tilings(shape), cap)):
             if i == index:
                 break
         else:
             raise InvariantError(f"tiling search ended before index {index} of {total}")
     else:
-        tiling = lattice_path_to_tiling(shape, LatticePath((0, 0), args.path))
-    svg = render_svg(region_from_shape(shape), tiling, args.shade)
+        tiling = tilings.lattice_path_to_tiling(shape, LatticePath((0, 0), args.path))
+    svg = tilings.render_svg(tilings.region_from_shape(shape), tiling, args.shade)
     try:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(svg)

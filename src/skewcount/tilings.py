@@ -447,9 +447,10 @@ def _fmt_points(points: Iterator[TriPoint]) -> str:
 def render_svg(region: Region, tiling: Tiling | None = None, shade: str = "both") -> str:
     """Deterministic SVG: the region contour, plus the tiling if given.
 
-    shade "a" fills the lozenges of the single-path chain (T2/T3) light
-    gray, "b" fills the disjoint-family chains (T1/T3) dark gray, "both"
-    does both with dark winning on the shared T3 kind.
+    shade "a" fills light gray the kinds a direction-a chain holds in
+    _CHAIN_SIDES (the single path's), "b" fills dark gray those of direction
+    b (the disjoint family's), "both" does both, b last, so dark wins on the
+    kind the two share.
     """
     if shade not in ("a", "b", "both"):
         raise ValueError(f"unknown shade option {shade!r}")
@@ -468,10 +469,9 @@ def render_svg(region: Region, tiling: Tiling | None = None, shade: str = "both"
     if tiling is not None:
         for loz in tiling.sorted_lozenges():
             fill = _PLAIN
-            if shade in ("a", "both") and loz.kind in (T2, T3):
-                fill = _LIGHT
-            if shade in ("b", "both") and loz.kind in (T1, T3):
-                fill = _DARK
+            for direction, colour in (("a", _LIGHT), ("b", _DARK)):
+                if shade in (direction, "both") and loz.kind in _CHAIN_SIDES[direction]:
+                    fill = colour
             lines.append(
                 f'  <polygon points="{_fmt_points(lozenge_corners(loz))}" '
                 f'fill="{fill}" stroke="#000000" stroke-width="1.2" '

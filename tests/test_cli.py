@@ -272,16 +272,43 @@ print(seen[0])
 
 
 class TestImportBudget:
-    def test_det_count_loads_no_search_module(self):
-        result = run_python("-c", ROUTES_LOADED, "count", "9,7,6,2/3,1")
-        assert (result.returncode, result.stdout) == (0, "399\n[]\n")
-
-    def test_tilings_count_loads_tilings(self):
-        # tilings loads gv only for family_B_to_z2_paths, which no command runs
-        result = run_python("-c", ROUTES_LOADED, "count", "2,1", "--method", "tilings")
-        assert (result.returncode, result.stdout) == (0, "5\n['skewcount.tilings']\n")
-        result = run_python("-c", ROUTES_LOADED, "render", "2,1", "--path", "NENE", "-o", os.devnull)
-        assert (result.returncode, result.stdout) == (0, "['skewcount.tilings']\n")
+    @pytest.mark.parametrize(
+        "argv, loaded",
+        [
+            pytest.param(["count", "9,7,6,2/3,1"], [], id="count-det"),
+            *(
+                pytest.param(["count", "2,1", "--method", method], loaded, id=f"count-{method}")
+                for method, loaded in [
+                    ("dp", []),
+                    ("enum", []),
+                    # tilings loads gv only for family_B_to_z2_paths, which no command runs
+                    ("tilings", ["skewcount.tilings"]),
+                    ("gv_enum", ["skewcount.gv"]),
+                    ("gv_det", ["skewcount.gv"]),
+                    ("gv", ["skewcount.gv"]),
+                ]
+            ),
+            pytest.param(["enumerate", "2,1", "paths"], [], id="enumerate-paths"),
+            pytest.param(
+                ["enumerate", "2,1", "tilings"], ["skewcount.tilings"], id="enumerate-tilings"
+            ),
+            pytest.param(["enumerate", "2,1", "families"], ["skewcount.gv"], id="enumerate-families"),
+            pytest.param(
+                ["render", "2,1", "--path", "NENE", "-o", os.devnull],
+                ["skewcount.tilings"],
+                id="render-path",
+            ),
+            pytest.param(
+                ["render", "2,1", "--tiling", "0", "-o", os.devnull],
+                ["skewcount.tilings"],
+                id="render-tiling",
+            ),
+        ],
+    )
+    def test_command_loads_only_its_route_modules(self, argv, loaded):
+        result = run_python("-c", ROUTES_LOADED, *argv)
+        assert result.returncode == 0
+        assert result.stdout.splitlines()[-1] == repr(loaded)
 
     def test_shapes_loads_no_other_module(self):
         # shapes reads no path, so it imports only errors

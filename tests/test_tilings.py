@@ -512,15 +512,26 @@ class TestRenderSvg:
         assert svg.count("<polygon") == len(tiling.lozenges) + 1
         assert "-0.000" not in svg
 
+    @staticmethod
+    def fills(svg):
+        return svg.count('fill="#d9d9d9"'), svg.count('fill="#7a7a7a"')
+
     def test_shading_modes(self):
-        region = region_from_shape(HEXAGON)
-        tiling = enumerate_tilings(HEXAGON)[0]
-        light_only = render_svg(region, tiling, "a")
-        assert "#d9d9d9" in light_only and "#7a7a7a" not in light_only
-        dark_only = render_svg(region, tiling, "b")
-        assert "#7a7a7a" in dark_only and "#d9d9d9" not in dark_only
-        both = render_svg(region, tiling, "both")
-        assert "#d9d9d9" in both and "#7a7a7a" in both
+        # every tiling holds m T1, width T2 and n T3 lozenges: "a" lights the
+        # T2/T3 of the path's chain, "b" darkens the T1/T3 of the family's
+        # chains, "both" does both with dark on T3
+        for shape in sweep(2, 3):
+            region = region_from_shape(shape)
+            m, width, n = shape.m, shape.width, shape.n
+            for tiling in iter_tilings(shape):
+                assert self.fills(render_svg(region, tiling, "a")) == (width + n, 0)
+                assert self.fills(render_svg(region, tiling, "b")) == (0, m + n)
+                assert self.fills(render_svg(region, tiling, "both")) == (width, m + n)
+        # the same in numbers: 2,1 has m = 3, width = 2, n = 2
+        shape = parse_shape("2,1")
+        tiling = lattice_path_to_tiling(shape, LatticePath((0, 0), "NENE"))
+        svgs = [render_svg(region_from_shape(shape), tiling, s) for s in ("a", "b", "both")]
+        assert [self.fills(svg) for svg in svgs] == [(4, 0), (0, 5), (2, 5)]
 
     def test_contour_only(self):
         region = region_from_shape(parse_shape("2,2"))
