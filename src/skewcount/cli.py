@@ -13,15 +13,9 @@ import time
 from functools import partial
 from importlib import import_module
 
-from .errors import (
-    CapExceededError,
-    InvariantError,
-    ShapeError,
-    capped,
-    count_capped,
-)
+from .errors import CapExceededError, InvariantError, ShapeError, count_leaves, take_leaves
 from .kreweras import kreweras_count
-from .paths import LatticePath, count_paths_dp, iter_paths, path_leaves
+from .paths import LatticePath, count_paths_dp, path_listing, walk_paths
 from .shapes import (
     SkewShape, clip, format_shape, parse_integer, parse_shape, partitions_in_box, subpartitions,
 )
@@ -37,33 +31,29 @@ def _load(name: str):
     return import_module(f".{name}", __package__)
 
 
-# every search's leaves, from a shape: the count routes drain them through the
-# cap and build no path, tiling or family
-SEARCHES = {
-    "enum": lambda shape: path_leaves(shape),
-    "tilings": lambda shape: _load("tilings").tiling_leaves(shape),
-    "gv_enum": lambda shape: _load("gv").family_leaves(_load("gv").gv_endpoints(shape)),
-}
-
-# every route, in verify's order
+# every route, in verify's order; the three searches count their walk's leaves
+# through the cap and build no path, tiling or family
 METHODS = {
     "det": lambda shape, cap: kreweras_count(shape),
     "dp": lambda shape, cap: count_paths_dp(shape),
-    "enum": lambda shape, cap: count_capped(SEARCHES["enum"](shape), cap),
-    "tilings": lambda shape, cap: count_capped(SEARCHES["tilings"](shape), cap),
-    "gv_enum": lambda shape, cap: count_capped(SEARCHES["gv_enum"](shape), cap),
+    "enum": lambda shape, cap: count_leaves(partial(walk_paths, shape), cap),
+    "tilings": lambda shape, cap: count_leaves(partial(_load("tilings").walk_tilings, shape), cap),
+    "gv_enum": lambda shape, cap: count_leaves(
+        partial(_load("gv").walk_families, _load("gv").gv_endpoints(shape)), cap
+    ),
     "gv_det": lambda shape, cap: _load("gv").gv_count(_load("gv").gv_endpoints(shape)),
 }
 
-# enumerate's listings: what -> (the search's built items from a shape, one item as a text line)
+# enumerate's listings: what -> (the search's walk and leaf builder from a shape,
+# one item as a text line)
 LISTINGS = {
-    "paths": (lambda shape: iter_paths(shape), lambda p: p.steps),
+    "paths": (lambda shape: path_listing(shape), lambda p: p.steps),
     "tilings": (
-        lambda shape: _load("tilings").iter_tilings(shape),
+        lambda shape: _load("tilings").tiling_listing(shape),
         lambda t: " ".join(f"T{l.kind}({l.a},{l.b})" for l in t.sorted_lozenges()),
     ),
     "families": (
-        lambda shape: _load("gv").iter_disjoint_families(_load("gv").gv_endpoints(shape)),
+        lambda shape: _load("gv").family_listing(_load("gv").gv_endpoints(shape)),
         lambda f: " | ".join(f"({p.start[0]},{p.start[1]}):{p.steps}" for p in f.paths),
     ),
 }
@@ -84,6 +74,8 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def _verify_one(shape: SkewShape, cap: int) -> dict:
+    """The shape's report line: every route's count and time, or, once a
+    search passes the cap, the route that did, and no counts."""
     # every route's module is loaded before the first clock starts, so
     # elapsed_ms is route time only, in a pool worker too
     _load("gv")
@@ -93,7 +85,10 @@ def _verify_one(shape: SkewShape, cap: int) -> dict:
     elapsed = {}
     for name, count in METHODS.items():
         t0 = time.perf_counter()
-        counts[name] = count(shape, cap)
+        try:
+            counts[name] = count(shape, cap)
+        except CapExceededError:
+            return {"cap": cap, "capped": name, "shape": format_shape(shape)}
         elapsed[name] = round((time.perf_counter() - t0) * 1000.0, 3)
     return {
         "shape": format_shape(shape),
@@ -168,29 +163,36 @@ def cmd_verify(args: argparse.Namespace) -> int:
             # the pool's queues for each, while a few tasks a worker still even
             # out shapes of unequal cost
             chunk = max(1, len(shapes) // (8 * workers))
-            first_bad = _emit_reports(
+            first_bad, capped = _emit_reports(
                 pool.map(partial(_verify_one, cap=cap), shapes, chunksize=chunk)
             )
     else:
-        first_bad = _emit_reports(_verify_one(shape, cap) for shape in shapes)
+        first_bad, capped = _emit_reports(_verify_one(shape, cap) for shape in shapes)
+    # a disagreement outranks a cap: exit 1 over exit 3
     if first_bad is not None:
         print(
             f"disagreement on {first_bad['shape']}: {first_bad['counts']}",
             file=sys.stderr,
         )
         return 1
+    if capped:
+        raise CapExceededError(cap)
     return 0
 
 
-def _emit_reports(reports) -> dict | None:
+def _emit_reports(reports) -> tuple[dict | None, bool]:
+    """Print each report line; return the first that disagrees, and whether any was capped."""
     import json
 
     first_bad = None
+    capped = False
     for report in reports:
         print(json.dumps(report, sort_keys=True), flush=True)
-        if not report["agree"] and first_bad is None:
+        if "capped" in report:
+            capped = True
+        elif not report["agree"] and first_bad is None:
             first_bad = report
-    return first_bad
+    return first_bad, capped
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
@@ -199,18 +201,16 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     shape = parse_shape(args.shape)
     cap = _resolve_cap(args)
     limit = None if args.limit is None else parse_integer(args.limit, "--limit", 0)
-    items, as_text = LISTINGS[args.what]
-    # the total is counted before the draw, and all is drawn before anything
-    # prints, so a size error draws nothing and a cap error prints nothing; one
-    # item past the limit marks the listing truncated; a loop, as islice takes
-    # no stop past sys.maxsize (no length equals a None limit)
+    listing, as_text = LISTINGS[args.what]
+    # the total is counted before the walk, and all is built before anything
+    # prints, so a size error walks nothing and a cap error prints nothing; one
+    # item past the limit marks the listing truncated
     total = count_paths_dp(shape)
-    shown, truncated = [], False
-    for item in capped(items(shape), cap):
-        if len(shown) == limit:
-            truncated = True
-            break
-        shown.append(item)
+    stop = None if limit is None else limit + 1
+    shown = take_leaves(*listing(shape), cap, stop)
+    truncated = len(shown) == stop
+    if truncated:
+        shown.pop()
     for item in shown:
         if args.fmt == "json":
             print(json.dumps(item.to_json(), sort_keys=True))
@@ -236,14 +236,13 @@ def cmd_render(args: argparse.Namespace) -> int:
         total = count_paths_dp(shape)
         if index >= total:
             raise ShapeError(f"tiling index {index} outside 0..{total - 1}")
-        # drawing index + 1 tilings meets the cap exactly when index >= cap
+        # walking to leaf index meets the cap exactly when index >= cap
         if index >= cap:
             raise CapExceededError(cap)
-        for i, tiling in enumerate(capped(tilings.iter_tilings(shape), cap)):
-            if i == index:
-                break
-        else:
+        found = take_leaves(*tilings.tiling_listing(shape), cap, index + 1, index)
+        if not found:
             raise InvariantError(f"tiling search ended before index {index} of {total}")
+        (tiling,) = found
     else:
         tiling = tilings.lattice_path_to_tiling(shape, LatticePath((0, 0), args.path))
     svg = tilings.render_svg(tilings.region_from_shape(shape), tiling, args.shade)

@@ -1,7 +1,7 @@
 """Exception types shared across the library, and the one place a cap is enforced."""
 
 import sys
-from typing import Iterable, Iterator
+from typing import Callable
 
 
 class SkewCountError(Exception):
@@ -48,21 +48,68 @@ class CapExceededError(SkewCountError, RuntimeError):
         return type(self), (self.cap,)
 
 
-def capped(items: Iterable, cap: int | None) -> Iterator:
-    """Yield the items, raising CapExceededError in place of item cap + 1.
+class _Enough(Exception):
+    """Raised by a visitor that has every leaf it wants: the walk ends there."""
 
-    Draws from ``items`` only as the caller draws, so a consumer that stops
-    early never meets the cap. ``None`` means no cap. The searches recurse
-    once per lozenge, path step or row, so a search too deep for Python's
-    recursion limit raises ShapeError here, the one place every search is drawn.
+
+def drive(walk: Callable[[Callable], None], visit: Callable) -> None:
+    """Run ``walk(visit)``: the one place a search is run.
+
+    A search is a walk that calls ``visit(leaf)`` at each of its leaves in
+    order. The searches recurse once per lozenge, path step or row, so a walk
+    too deep for Python's recursion limit raises the one-line ShapeError here.
     """
     try:
-        for i, item in enumerate(items):
-            if i == cap:
-                raise CapExceededError(cap)
-            yield item
+        walk(visit)
+    except _Enough:
+        pass
     except RecursionError:
         raise _too_deep() from None
+
+
+def count_leaves(walk: Callable[[Callable], None], cap: int | None) -> int:
+    """Number of leaves the walk visits, with CapExceededError in place of leaf
+    cap + 1. ``None`` means no cap."""
+    count = 0
+
+    def visit(leaf) -> None:
+        nonlocal count
+        if count == cap:
+            raise CapExceededError(cap)
+        count += 1
+
+    drive(walk, visit)
+    return count
+
+
+def take_leaves(
+    walk: Callable[[Callable], None],
+    build: Callable,
+    cap: int | None,
+    stop: int | None = None,
+    start: int = 0,
+) -> list:
+    """``build(leaf)`` for the walk's leaves start, ..., stop - 1, in walk order.
+
+    The walk ends at leaf stop - 1 (``None``: at its own end), so no leaf past
+    it is searched for, and leaf cap + 1 raises CapExceededError in its place.
+    Leaves before ``start`` are counted and not built.
+    """
+    items = []
+    seen = 0
+
+    def visit(leaf) -> None:
+        nonlocal seen
+        if seen == cap:
+            raise CapExceededError(cap)
+        if seen >= start:
+            items.append(build(leaf))
+        seen += 1
+        if seen == stop:
+            raise _Enough
+
+    drive(walk, visit)
+    return items
 
 
 def _too_deep() -> ShapeError:
@@ -73,7 +120,7 @@ def _too_deep() -> ShapeError:
 
 
 def check_depth(depth: int) -> None:
-    """Raise :func:`capped`'s too-deep ShapeError up front for a search this deep."""
+    """Raise :func:`drive`'s too-deep ShapeError up front for a search this deep."""
     if depth > sys.getrecursionlimit():
         raise _too_deep()
 
@@ -89,11 +136,6 @@ def check_size(size: int, limit: int, unit: str) -> None:
     """Raise ShapeError, naming both numbers, if size is past limit."""
     if size > limit:
         raise ShapeError(f"shape too large: {size} {unit}, past the limit of {limit}")
-
-
-def count_capped(items: Iterable, cap: int | None) -> int:
-    """Number of items, drawn one at a time through :func:`capped` and dropped."""
-    return sum(1 for _ in capped(items, cap))
 
 
 class MalformedFamilyError(SkewCountError, ValueError):

@@ -10,10 +10,11 @@ validates that at desk scale.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations
-from typing import Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
-from .errors import InvariantError, capped
+from .errors import InvariantError, take_leaves
 from .exact import IntMatrix, det_exact
 from .paths import STEP_EAST, STEP_NORTH, LatticePath, Point, count_monotone
 from .shapes import SkewShape
@@ -76,92 +77,119 @@ def gv_count(config: GVConfig) -> int:
     return det_exact(gv_matrix(config))
 
 
-def iter_disjoint_families(config: GVConfig) -> Iterator[PathFamily]:
-    """All pairwise vertex-disjoint families, any end permutation, brute force, lazily.
+def walk_families(config: GVConfig, visit: Callable[[dict[int, int]], None]) -> None:
+    """Call ``visit(occupied)`` at each pairwise vertex-disjoint family, any end
+    permutation, brute force: ``occupied`` maps each vertex a path of the
+    family visits, by its id (see :func:`_id_width`), to that path's index.
 
-    Each family is built from a leaf of :func:`family_leaves`, so families come
-    in its ascending north-record order, and a non-identity family raises
-    InvariantError there.
-    """
-    return (_family(config.starts, finished) for finished in family_leaves(config))
+    The leaf is live: the walk changes it as it goes on, so a visitor that
+    keeps it copies it. Counting the leaves builds no path.
 
+    Paths grow north first and stop at an occupied vertex, so families come
+    in ascending north-record order; a family not pairing start i with end i
+    raises InvariantError. The walk recurses once per path step: run it
+    through :func:`~skewcount.errors.drive`.
 
-def _family(starts: tuple[Point, ...], finished: list[list[str]]) -> PathFamily:
-    return PathFamily(tuple(LatticePath(s, "".join(steps)) for s, steps in zip(starts, finished)))
-
-
-def family_leaves(config: GVConfig) -> Iterator[list[list[str]]]:
-    """The search behind :func:`iter_disjoint_families`: at each leaf, its live
-    list of the finished paths' step lists, path i from start i.
-
-    The lists change as the search resumes, so a caller that keeps a family
-    copies them; counting the leaves builds no path. Paths grow north first
-    and stop at an occupied vertex, so families come in ascending north-record
-    order; a family not pairing start i with end i raises InvariantError.
-
-    Built once per configuration, before the search: each end's last start
-    that can reach it, for the cut of partial families that cannot complete,
-    and integer vertex ids, so occupancy is a set of ints.
+    Built once per configuration, before the walk: the ends each start is
+    the last to reach, for the cut of partial families that cannot complete.
+    Occupancy holds only the vertices of the paths grown so far, never a table
+    of the configuration's bounding box.
     """
     n = config.n
     starts, ends = config.starts, config.ends
     identity = list(range(n))
-    # vertex (x, y) is y * width + x: a path's x runs from its start's to its
-    # end's, so every x lies among the width values from the leftmost start to
-    # the rightmost end, and ids are distinct
-    width = max((x for x, _ in ends), default=0) - min((x for x, _ in starts), default=0) + 1
-    last = [
-        max((i for i, (sx, sy) in enumerate(starts) if ex >= sx and ey >= sy), default=-1)
-        for ex, ey in ends
-    ]
+    width = _id_width(config)
+    # stranded[k]: the ends that no start from k on can reach, as start k - 1
+    # was the last that could (stranded[0]: those no start reaches)
+    stranded: list[list[int]] = [[] for _ in range(n + 1)]
+    for j, (ex, ey) in enumerate(ends):
+        last = max((i for i, (sx, sy) in enumerate(starts) if ex >= sx and ey >= sy), default=-1)
+        stranded[last + 1].append(j)
     used_ends = [False] * n
     pairing: list[int] = []
-    occupied: set[int] = set()
-    finished: list[list[str]] = []
+    occupied: dict[int, int] = {}
 
-    def place() -> Iterator[list[list[str]]]:
-        k = len(finished)
+    def place(k: int) -> None:
+        # paths 0..k-1 are grown; start path k
         if k == n:
             if pairing != identity:
-                raise InvariantError(f"non-identity family {_family(starts, finished)}")
-            yield finished
+                paired = tuple(ends[j] for j in pairing)
+                raise InvariantError(
+                    f"non-identity family {_read_family(starts, paired, width, occupied)}"
+                )
+            visit(occupied)
             return
-        # cut a branch that cannot complete: an unused end no remaining start can reach
-        for j in range(n):
-            if last[j] < k and not used_ends[j]:
+        # cut a branch that cannot complete: an unused end no remaining start
+        # can reach. Ends stranded before k passed this check on the way here,
+        # and stay used, so only those stranded at k need it
+        for j in stranded[k]:
+            if not used_ends[j]:
                 return
         sx, sy = starts[k]
         for j, (ex, ey) in enumerate(ends):
             if not used_ends[j] and ex >= sx and ey >= sy:
                 used_ends[j] = True
                 pairing.append(j)
-                yield from grow(sy * width + sx, ex - sx, ey - sy, [])
+                grow(k, sy * width + sx, ex - sx, ey - sy)
                 pairing.pop()
                 used_ends[j] = False
 
-    def grow(v: int, east: int, north: int, steps: list[str]) -> Iterator[list[list[str]]]:
-        # the next path, having taken `steps`, enters vertex v with `east` and
-        # `north` steps still to take
+    def grow(k: int, v: int, east: int, north: int) -> None:
+        # path k enters vertex v with `east` and `north` steps still to take
         if v in occupied:
             return
-        occupied.add(v)
-        if not east and not north:
-            finished.append(steps)
-            yield from place()
-            finished.pop()
+        occupied[v] = k
         if north:
-            steps.append(STEP_NORTH)
-            yield from grow(v + width, east, north - 1, steps)
-            steps.pop()
-        if east:
-            steps.append(STEP_EAST)
-            yield from grow(v + 1, east - 1, north, steps)
-            steps.pop()
-        occupied.discard(v)
+            grow(k, v + width, east, north - 1)
+            if east:
+                grow(k, v + 1, east - 1, north)
+        elif east:
+            grow(k, v + 1, east - 1, north)
+        else:
+            place(k + 1)
+        del occupied[v]
 
-    return place()
+    place(0)
+
+
+def _id_width(config: GVConfig) -> int:
+    # vertex (x, y) has id y * width + x: a path's x runs from its start's to its
+    # end's, so every x lies among the width values from the leftmost start to
+    # the rightmost end, and ids are distinct
+    starts, ends = config.starts, config.ends
+    return max((x for x, _ in ends), default=0) - min((x for x, _ in starts), default=0) + 1
+
+
+def _read_family(
+    starts: tuple[Point, ...], ends: tuple[Point, ...], width: int, occupied: dict[int, int]
+) -> PathFamily:
+    """The family whose path k runs from starts[k] to ends[k] through the
+    vertices ``occupied`` gives to k: from each vertex it steps N when the
+    vertex above is k's, else E (a monotone path never holds both)."""
+    paths = []
+    for k, ((sx, sy), (ex, ey)) in enumerate(zip(starts, ends)):
+        v, east, north = sy * width + sx, ex - sx, ey - sy
+        steps = []
+        while east or north:
+            if north and occupied.get(v + width) == k:
+                steps.append(STEP_NORTH)
+                v, north = v + width, north - 1
+            else:
+                steps.append(STEP_EAST)
+                v, east = v + 1, east - 1
+        paths.append(LatticePath((sx, sy), "".join(steps)))
+    return PathFamily(tuple(paths))
+
+
+def family_listing(config: GVConfig) -> tuple[Callable, Callable[[dict[int, int]], PathFamily]]:
+    """The family walk of the configuration, and the builder of a family from its leaf."""
+    starts, ends, width = config.starts, config.ends, _id_width(config)
+    return (
+        partial(walk_families, config),
+        lambda occupied: _read_family(starts, ends, width, occupied),
+    )
 
 
 def enumerate_disjoint_families(config: GVConfig, cap: int | None = None) -> list[PathFamily]:
     """All pairwise vertex-disjoint families as a list, in ascending north-record order."""
-    return list(capped(iter_disjoint_families(config), cap))
+    return take_leaves(*family_listing(config), cap)

@@ -8,9 +8,10 @@ increasing sequence of x-coordinates of its north steps, read bottom-up.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from functools import partial
+from typing import Callable, NamedTuple
 
-from .errors import MAX_DP_CELLS, ShapeError, WrongEndpointsError, capped, check_size
+from .errors import MAX_DP_CELLS, ShapeError, WrongEndpointsError, check_size, take_leaves
 from .exact import binomial
 from .shapes import SkewShape
 
@@ -102,41 +103,39 @@ def is_admissible(shape: SkewShape, path: LatticePath) -> bool:
     )
 
 
-def iter_paths(shape: SkewShape) -> Iterator[LatticePath]:
-    """All admissible paths of the shape, lazily, lexicographically by north record.
+def walk_paths(shape: SkewShape, visit: Callable[[list[int]], None]) -> None:
+    """Call ``visit(record)`` at each admissible path of the shape, in
+    lexicographic order of its north record.
 
-    Each path is built from a leaf of :func:`path_leaves`.
-    """
-    width = shape.width
-    return (path_from_north_record(tuple(rec), width) for rec in path_leaves(shape))
-
-
-def path_leaves(shape: SkewShape) -> Iterator[list[int]]:
-    """The search behind :func:`iter_paths`: at each leaf, its live north-record list.
-
-    The list changes as the search resumes, so a caller that keeps a record
-    copies it; counting the leaves builds no path.
+    The leaf is live: the walk changes it as it goes on, so a visitor that
+    keeps it copies it. Counting the leaves builds no path. The walk recurses
+    once per row: run it through :func:`~skewcount.errors.drive`.
     """
     bounds = shape.north_step_bounds()
     n = len(bounds)
-    rec: list[int] = []
+    rec = [0] * n
 
-    def go(k: int, floor: int) -> Iterator[list[int]]:
+    def go(k: int, floor: int) -> None:
         if k == n:
-            yield rec
+            visit(rec)
             return
         lo, hi = bounds[k]
         for c in range(max(lo, floor), hi + 1):
-            rec.append(c)
-            yield from go(k + 1, c)
-            rec.pop()
+            rec[k] = c
+            go(k + 1, c)
 
-    return go(0, 0)
+    go(0, 0)
+
+
+def path_listing(shape: SkewShape) -> tuple[Callable, Callable[[list[int]], LatticePath]]:
+    """The path walk of the shape, and the builder of a path from its leaf."""
+    width = shape.width
+    return partial(walk_paths, shape), lambda rec: path_from_north_record(rec, width)
 
 
 def enumerate_paths(shape: SkewShape, cap: int | None = None) -> list[LatticePath]:
     """All admissible paths of the shape, ordered lexicographically by north record."""
-    return list(capped(iter_paths(shape), cap))
+    return take_leaves(*path_listing(shape), cap)
 
 
 def count_paths_dp(shape: SkewShape) -> int:

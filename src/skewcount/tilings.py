@@ -31,16 +31,17 @@ sweeps when the boundary is pulled apart.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from .errors import (
     MAX_REGION_LOZENGES,
     InvariantError,
     MalformedFamilyError,
     NotAdmissibleError,
-    capped,
     check_depth,
     check_size,
+    take_leaves,
 )
 from .paths import STEP_EAST, STEP_NORTH, LatticePath, is_admissible, path_from_north_record
 from .shapes import SkewShape, format_shape
@@ -150,24 +151,41 @@ _CHAIN_SIDES = {
 }
 
 
-def _interior_triangles(shape: SkewShape) -> list[Triangle]:
-    # the one reader of the region's triangles, behind the size guard. Row b,
-    # between heights b and b+1, runs from the inner profile's north step b+1
-    # to the pushed outer profile's step b+2; the v-edges that close the walk,
-    # (1,-1)-(0,0) and (width+1,n-1)-(width,n), take the first UP out of the
-    # bottom row b = -1 and add one UP to the end of the top row b = n-1. Rows
-    # list a ascending, UP before DOWN: the tiling search's order
+def _row_spans(shape: SkewShape) -> list[tuple[int, range, range, int]]:
+    """The region's rows of unit triangles, bottom up, behind the size guard:
+    each row is (b, ups, downs, base), holding UP(a, b) for a in ``ups`` and
+    DOWN(a, b) for a in ``downs``.
+
+    Row b, between heights b and b+1, runs from the inner profile's north step
+    b+1 to the pushed outer profile's step b+2; the v-edges that close the
+    walk, (1,-1)-(0,0) and (width+1,n-1)-(width,n), take the first UP out of
+    the bottom row b = -1 and add one UP to the end of the top row b = n-1.
+    Numbered row by row, a ascending, UP before DOWN (the tiling search's
+    order), UP(a, b) is number base + 2a and DOWN(a, b) number base + 2a + 1.
+    """
     region_lozenges(shape)
     bounds = shape.north_step_bounds()
     n = len(bounds)
     firsts = (0, *(lo for lo, _ in bounds))
     lasts = (*(hi for _, hi in bounds), shape.width - 1)
-    out = []
+    rows = []
+    start = 0
     for b, first, last in zip(range(-1, n), firsts, lasts):
-        for a in range(first, last + (b == n - 1) + 1):
-            if a > first or b > -1:
+        ups = range(first + (b == -1), last + (b == n - 1) + 1)
+        downs = range(first, last + 1)
+        rows.append((b, ups, downs, start - ups.start - downs.start))
+        start += len(ups) + len(downs)
+    return rows
+
+
+def _interior_triangles(shape: SkewShape) -> list[Triangle]:
+    # the region's triangles in the tiling search's order
+    out = []
+    for b, ups, downs, _ in _row_spans(shape):
+        for a in range(min(ups.start, downs.start), max(ups.stop, downs.stop)):
+            if a in ups:
                 out.append(Triangle(a, b, True))
-            if a <= last:
+            if a in downs:
                 out.append(Triangle(a, b, False))
     return out
 
@@ -206,73 +224,78 @@ def region_from_shape(shape: SkewShape) -> Region:
     return Region(walk, frozenset(triangles))
 
 
-def iter_tilings(shape: SkewShape) -> Iterator[Tiling]:
-    """All tilings of the shape's region, lazily, by backtracking perfect-matching search.
+def walk_tilings(shape: SkewShape, visit: Callable[[list[int]], None]) -> None:
+    """Call ``visit(cover)`` at each tiling of the shape's region, by
+    backtracking perfect-matching search; ``cover`` holds, at the number
+    :func:`_row_spans` gives each UP triangle, the kind of the lozenge keyed
+    by that triangle.
 
-    Each tiling is built from a leaf of :func:`tiling_leaves`.
-    """
-    return (Tiling(frozenset(chosen)) for chosen in tiling_leaves(shape))
-
-
-def tiling_leaves(shape: SkewShape) -> Iterator[list[Lozenge]]:
-    """The search behind :func:`iter_tilings`: at each leaf, its live list of chosen lozenges.
-
-    The list changes as the search resumes, so a caller that keeps a tiling
-    copies it; counting the leaves builds no tiling.
+    The leaf is live: the walk changes it as it goes on, so a visitor that
+    keeps it copies it. Counting the leaves builds no lozenge and no tiling.
 
     Always pairs the first uncovered triangle in the fixed (b, a, UP<DOWN)
-    order, trying kinds T1, T2, T3; the output order is the search order.
-    Deliberately knows nothing about paths, so it can serve as an oracle
-    for the path-based counts.
+    order, trying kinds T1, T2, T3; the leaf order is the search order.
+    Deliberately knows nothing about paths, so it can serve as an oracle for
+    the path-based counts.
 
-    Triangles are numbered in the order the region's rows list them, which
-    is search order. The pairing table, built once, lists each UP triangle's
-    T1, T2, T3 lozenge at both its triangles' positions when the DOWN one, at
-    the kind's offset from :func:`lozenge_triangles`, is in the region (so a
-    DOWN triangle's options come in kind order too). Coverage is a flag per
-    position; the search recurses once per lozenge, so a region of more
-    lozenges than the recursion limit is a ShapeError at the call.
+    The pairing table, built once by arithmetic on the row spans, lists at
+    each triangle's number the (kind, partner number) of each lozenge that can
+    cover it with a partner later in the order: a partner earlier in the order
+    is covered whenever its triangle is the first uncovered one. That leaves
+    T1 for an UP triangle, and T2 and T3 for a DOWN one. ``cover`` marks both
+    triangles of a chosen lozenge with its kind, and 0 an uncovered one. The
+    walk recurses once per lozenge, so a region of more lozenges than the
+    recursion limit is a ShapeError before the table is built; run the walk
+    through :func:`~skewcount.errors.drive`.
     """
     check_depth(region_lozenges(shape))
-    order = _interior_triangles(shape)
-    position = {t: i for i, t in enumerate(order)}
-    downs = [(kind, lozenge_triangles(Lozenge(kind, 0, 0))[1]) for kind in (T1, T2, T3)]
-    options: list[list[tuple[Lozenge, int]]] = [[] for _ in order]
-    for i, t in enumerate(order):
-        if not t.up:
-            continue
-        for kind, down in downs:
-            j = position.get(Triangle(t.a + down.a, t.b + down.b, False))
-            if j is not None:
-                loz = Lozenge(kind, t.a, t.b)
-                options[i].append((loz, j))
-                options[j].append((loz, i))
-    covered = [False] * len(order)
-    chosen: list[Lozenge] = []
+    rows = _row_spans(shape)
+    size = sum(len(ups) + len(downs) for _, ups, downs, _ in rows)
+    options: list[tuple[tuple[int, int], ...]] = [()] * size
+    no_row = (None, range(0), None, 0)  # above the top row
+    for (_, ups, downs, base), (_, above, _, above_base) in zip(rows, [*rows[1:], no_row]):
+        for a in downs:
+            here = base + 2 * a + 1
+            if a in ups:
+                options[here - 1] = ((T1, here),)
+            pairs = []
+            if a + 1 in ups:
+                pairs.append((T2, here + 1))
+            if a in above:
+                pairs.append((T3, above_base + 2 * a))
+            options[here] = tuple(pairs)
+    cover = [0] * (size + 1)  # the trailing 0 ends the scan for the next uncovered triangle
 
-    def go(start: int) -> Iterator[list[Lozenge]]:
-        i = start
-        while i < len(order) and covered[i]:
+    def go(i: int) -> None:
+        while cover[i]:
             i += 1
-        if i == len(order):
-            yield chosen
+        if i == size:
+            visit(cover)
             return
-        covered[i] = True
-        for loz, j in options[i]:
-            if not covered[j]:
-                covered[j] = True
-                chosen.append(loz)
-                yield from go(i + 1)
-                chosen.pop()
-                covered[j] = False
-        covered[i] = False
+        for kind, j in options[i]:
+            if not cover[j]:
+                cover[i] = cover[j] = kind
+                go(i + 1)
+                cover[j] = 0
+        cover[i] = 0
 
-    return go(0)
+    go(0)
+
+
+def tiling_listing(shape: SkewShape) -> tuple[Callable, Callable[[list[int]], Tiling]]:
+    """The tiling walk of the shape, and the builder of a tiling from its leaf.
+    A shape too deep to walk is refused before the builder's keys are read."""
+    check_depth(region_lozenges(shape))
+    keys = [(base + 2 * a, a, b) for b, ups, _, base in _row_spans(shape) for a in ups]
+    return (
+        partial(walk_tilings, shape),
+        lambda cover: Tiling(frozenset([Lozenge(cover[i], a, b) for i, a, b in keys])),
+    )
 
 
 def enumerate_tilings(shape: SkewShape, cap: int | None = None) -> list[Tiling]:
-    """All tilings of the shape's region, in the search order of :func:`iter_tilings`."""
-    return list(capped(iter_tilings(shape), cap))
+    """All tilings of the shape's region, in the search order of :func:`walk_tilings`."""
+    return take_leaves(*tiling_listing(shape), cap)
 
 
 def _side_keys(direction: str, loz: Lozenge) -> tuple[TriPoint, TriPoint]:

@@ -237,6 +237,24 @@ class TestVerify:
         assert (code, err) == (3, "error: enumeration exceeded cap of 2 items\n")
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_capped_shape_gets_a_line_and_the_sweep_goes_on(self, capsys, monkeypatch, jobs):
+        # 2,1 has 5 paths, 9,7,6,2/3,1 has 399 and 2,2 has 6: only the middle one passes 10
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        code, out, err = run(capsys, "verify", "2,1", "9,7,6,2/3,1", "2,2", "--cap", "10",
+                             "--jobs", jobs)
+        assert (code, err) == (3, "error: enumeration exceeded cap of 10 items\n")
+        first, capped, last = out.splitlines()
+        assert json.loads(first)["shape"] == "2,1" and json.loads(last)["shape"] == "2,2"
+        assert capped == '{"cap": 10, "capped": "enum", "shape": "9,7,6,2/3,1"}'
+
+    def test_disagreement_outranks_a_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "kreweras_count", lambda shape: 999)
+        code, out, err = run(capsys, "verify", "9,7,6,2/3,1", "1", "--cap", "10")
+        assert code == 1
+        assert [json.loads(line).get("capped") for line in out.splitlines()] == ["enum", None]
+        assert err.startswith("disagreement on 1: ")
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_bad_shape_stops_before_any_report(self, capsys, jobs):
         # every shape is parsed before the first route runs
         code, out, err = run(capsys, "verify", "2,1", "3,x", "--jobs", jobs)
@@ -503,18 +521,20 @@ class TestMethodTable:
         def no_item(*args):
             raise AssertionError("built an item to count it")
 
-        # the tiling search reads its triangles off the shape, so it builds no region
+        # the tiling search reads its triangles off the shape, so it builds no
+        # region, and numbers them, so it builds no triangle or lozenge either
         for target in ("skewcount.paths.path_from_north_record", "skewcount.tilings.Tiling",
-                       "skewcount.tilings.region_from_shape",
+                       "skewcount.tilings.region_from_shape", "skewcount.tilings.Lozenge",
+                       "skewcount.tilings.Triangle",
                        "skewcount.gv.PathFamily", "skewcount.gv.LatticePath"):
             monkeypatch.setattr(target, no_item)
         shape = cli.parse_shape("7,7,6,5,4/3,2")
         for method in ("enum", "tilings", "gv_enum"):
             assert cli.METHODS[method](shape, None) == 680
         # the listings build items, so the patches bite
-        for items, _ in cli.LISTINGS.values():
+        for listing, _ in cli.LISTINGS.values():
             with pytest.raises(AssertionError, match="built an item"):
-                next(items(shape))
+                cli.take_leaves(*listing(shape), None, 1)
 
     @pytest.mark.parametrize("method", ["enum", "tilings", "gv_enum"])
     def test_cap_counts_leaves(self, capsys, method):
@@ -599,10 +619,10 @@ class TestStreaming:
         assert err == "error: tiling index 5 outside 0..4\n"
 
     def test_render_out_of_range_never_draws(self, capsys, monkeypatch, tmp_path):
-        def no_search(region):
+        def no_search(shape, visit):
             raise AssertionError("drew a tiling for an index out of range")
 
-        monkeypatch.setattr("skewcount.tilings.iter_tilings", no_search)
+        monkeypatch.setattr("skewcount.tilings.walk_tilings", no_search)
         code, _, err = run(capsys, "render", "2,1", "--tiling", "5", "-o", str(tmp_path / "x.svg"))
         assert (code, err) == (2, "error: tiling index 5 outside 0..4\n")
 
@@ -611,7 +631,7 @@ class TestStreaming:
         def no_search(shape):
             raise AssertionError("drew a path of a shape past the dp guard")
 
-        monkeypatch.setattr(cli, "iter_paths", no_search)
+        monkeypatch.setattr(cli, "path_listing", no_search)
         code, out, err = run(capsys, "enumerate", "10000000", "paths", "--limit", "1")
         assert (code, out) == (2, "")
         assert err.startswith("error: shape too large:") and err.count("\n") == 1

@@ -1,4 +1,3 @@
-import itertools
 import pickle
 
 import pytest
@@ -8,7 +7,8 @@ from skewcount.errors import (
     NotAdmissibleError,
     ShapeError,
     WrongEndpointsError,
-    capped,
+    count_leaves,
+    take_leaves,
 )
 from skewcount.paths import count_paths_dp
 from skewcount.shapes import SkewShape
@@ -16,49 +16,56 @@ from skewcount.tilings import region_from_shape
 
 
 def counting(n):
-    """Yield 0..n-1 and record how many items were drawn."""
-    drawn = []
+    """A walk over the leaves 0..n-1, and the list of leaves it has visited."""
+    visited = []
 
-    def gen():
+    def walk(visit):
         for i in range(n):
-            drawn.append(i)
-            yield i
+            visited.append(i)
+            visit(i)
 
-    return gen(), drawn
+    return walk, visited
 
 
 class TestCapped:
     @pytest.mark.parametrize("cap", [0, 1, 3])
     def test_yields_exactly_cap_then_raises(self, cap):
-        items, drawn = counting(10)
-        it = capped(items, cap)
-        assert list(itertools.islice(it, cap)) == list(range(cap))
+        walk, visited = counting(10)
+        built = []
         with pytest.raises(CapExceededError) as exc:
-            next(it)
+            take_leaves(walk, built.append, cap)
         assert exc.value.cap == cap
-        assert drawn == list(range(cap + 1))
+        assert built == list(range(cap))
+        assert visited == list(range(cap + 1))
+        with pytest.raises(CapExceededError):
+            count_leaves(counting(10)[0], cap)
 
     def test_cap_equal_to_length_does_not_raise(self):
-        items, _ = counting(4)
-        assert list(capped(items, 4)) == [0, 1, 2, 3]
+        walk, _ = counting(4)
+        assert take_leaves(walk, str, 4) == ["0", "1", "2", "3"]
+        assert count_leaves(walk, 4) == 4
 
     def test_none_is_unbounded(self):
-        items, drawn = counting(5000)
-        assert sum(capped(items, None)) == sum(range(5000))
-        assert len(drawn) == 5000
+        walk, visited = counting(5000)
+        assert count_leaves(walk, None) == 5000
+        assert len(visited) == 5000
 
     @pytest.mark.parametrize("cap", [None, 2, 10])
     def test_draws_only_what_is_asked(self, cap):
-        items, drawn = counting(100)
-        assert list(itertools.islice(capped(items, cap), 2)) == [0, 1]
-        assert drawn == [0, 1]
+        walk, visited = counting(100)
+        assert take_leaves(walk, str, cap, 2) == ["0", "1"]
+        assert visited == [0, 1]
+        # leaves before start are walked and not built
+        walk, visited = counting(100)
+        assert take_leaves(walk, str, None, 3, 2) == ["2"]
+        assert visited == [0, 1, 2]
 
     def test_too_deep_search_is_a_shape_error(self):
-        def deep(k):
-            yield from deep(k + 1)
+        def deep(visit):
+            deep(visit)
 
         with pytest.raises(ShapeError, match="recursion limit") as exc:
-            next(capped(deep(0), None))
+            count_leaves(deep, None)
         assert "\n" not in str(exc.value)
 
 

@@ -1,17 +1,18 @@
+from functools import partial
+
 import pytest
 from hypothesis import example, given
 
-from skewcount.errors import CapExceededError, InvariantError, count_capped
+from skewcount.errors import CapExceededError, InvariantError, count_leaves
 from skewcount.exact import det_exact
 from skewcount.gv import (
     GVConfig,
     PathFamily,
     enumerate_disjoint_families,
-    family_leaves,
     gv_count,
     gv_endpoints,
     gv_matrix,
-    iter_disjoint_families,
+    walk_families,
 )
 from skewcount.kreweras import kreweras_count, kreweras_matrix
 from skewcount.paths import LatticePath, count_monotone
@@ -20,7 +21,7 @@ from test_kreweras import skew_shapes
 
 
 def set_search_families(config):
-    """Reference family search: the same growth order as iter_disjoint_families,
+    """Reference family search: the same growth order as walk_families,
     but with vertices as (x, y) pairs in a set, steps as strings extended at
     every node, and reachability checked against the remaining starts at every
     partial family."""
@@ -140,10 +141,10 @@ class TestDisjointFamilies:
             enumerate_disjoint_families(config)
 
     def test_non_identity_family_raises_while_counting(self):
-        # the check sits in the leaf search, so counting without building meets it too
+        # the check sits in the walk, so counting without building meets it too
         config = GVConfig(((0, 0), (1, 0)), ((1, 1), (0, 1)))
         with pytest.raises(InvariantError, match=r"non-identity family PathFamily"):
-            count_capped(family_leaves(config), None)
+            count_leaves(partial(walk_families, config), None)
 
     def test_count_matches_determinant_on_sweep(self):
         for lam in partitions_in_box(2, 3):
@@ -160,14 +161,14 @@ class TestDisjointFamilies:
         for lam in partitions_in_box(4, 4):
             for mu in subpartitions(lam):
                 config = gv_endpoints(SkewShape(Partition(lam), Partition(mu)))
-                assert list(iter_disjoint_families(config)) == list(set_search_families(config))
+                assert enumerate_disjoint_families(config) == list(set_search_families(config))
 
     @given(skew_shapes(max_rows=6, max_width=6))
     @example(parse_shape("2,1/2,1"))
     @example(parse_shape("20,20,15,9,9,4,1/20,15,15,9,4,4"))
     def test_matches_set_search_on_random_shapes(self, shape):
         config = gv_endpoints(shape)
-        assert list(iter_disjoint_families(config)) == list(set_search_families(config))
+        assert enumerate_disjoint_families(config) == list(set_search_families(config))
 
 
 class TestPathFamily:

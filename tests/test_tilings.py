@@ -1,3 +1,5 @@
+from functools import partial
+
 import pytest
 from hypothesis import example, given
 
@@ -7,6 +9,7 @@ from skewcount.errors import (
     MalformedFamilyError,
     NotAdmissibleError,
     ShapeError,
+    count_leaves,
 )
 from skewcount.gv import enumerate_disjoint_families, gv_endpoints
 from skewcount.kreweras import kreweras_count
@@ -22,19 +25,22 @@ from skewcount.tilings import (
     Tiling,
     Triangle,
     TriPoint,
+    _interior_triangles,
+    _row_spans,
     _side_keys,
     enumerate_tilings,
     extract_family,
     family_A_to_lattice_path,
     family_B_to_z2_paths,
-    iter_tilings,
     lattice_path_to_tiling,
     lozenge_corners,
     lozenge_triangles,
     region_from_shape,
     render_svg,
+    tiling_listing,
     tiling_type_census,
     triangle_vertices,
+    walk_tilings,
 )
 from test_kreweras import skew_shapes
 
@@ -98,7 +104,7 @@ def _pairings(t):
 
 
 def set_search_tilings(region):
-    """Reference tiling search: the same backtracking order as iter_tilings,
+    """Reference tiling search: the same backtracking order as walk_tilings,
     but with coverage as a set of triangles and each triangle's pairings
     looked up at every node."""
     order = sorted(region.triangles, key=lambda t: (t.b, t.a, 0 if t.up else 1))
@@ -250,35 +256,58 @@ class TestEnumerateTilings:
     def test_matches_set_search_on_4x4_box(self):
         for shape in sweep(4, 4):
             region = region_from_shape(shape)
-            assert list(iter_tilings(shape)) == list(set_search_tilings(region)), shape
+            assert enumerate_tilings(shape) == list(set_search_tilings(region)), shape
 
     @given(skew_shapes(max_rows=6, max_width=6))
     @example(parse_shape("2,1/2,1"))
     @example(parse_shape("20,20,15,9,9,4,1/20,15,15,9,4,4"))
     def test_matches_set_search_on_random_shapes(self, shape):
         region = region_from_shape(shape)
-        assert list(iter_tilings(shape)) == list(set_search_tilings(region))
+        assert enumerate_tilings(shape) == list(set_search_tilings(region))
 
     def test_pairing_table_is_built_once(self, monkeypatch):
+        # one read of the row spans per walk, and no lozenge's triangles looked up
         calls = []
 
-        def counted(loz):
-            calls.append(loz)
-            return lozenge_triangles(loz)
+        def counted(shape):
+            calls.append(shape)
+            return row_spans(shape)
 
-        monkeypatch.setattr("skewcount.tilings.lozenge_triangles", counted)
-        assert sum(1 for _ in iter_tilings(parse_shape("7,7,6,5,4/3,2"))) == 680
-        assert len(calls) == 3
+        def no_lookup(loz):
+            raise AssertionError("looked up a lozenge's triangles")
+
+        row_spans = _row_spans
+        monkeypatch.setattr("skewcount.tilings._row_spans", counted)
+        monkeypatch.setattr("skewcount.tilings.lozenge_triangles", no_lookup)
+        shape = parse_shape("7,7,6,5,4/3,2")
+        assert count_leaves(partial(walk_tilings, shape), None) == 680
+        assert calls == [shape]
+
+    def test_row_numbers_follow_the_triangle_order(self):
+        # UP(a, b) is number base + 2a and DOWN(a, b) base + 2a + 1, as
+        # _interior_triangles lists them
+        for shape in sweep(4, 4):
+            numbers = {
+                Triangle(a, b, up): base + 2 * a + (not up)
+                for b, ups, downs, base in _row_spans(shape)
+                for up, span in ((True, ups), (False, downs))
+                for a in span
+            }
+            order = _interior_triangles(shape)
+            assert numbers == {t: i for i, t in enumerate(order)}, shape
 
     def test_too_deep_is_refused_at_the_call(self, monkeypatch):
-        # 1,201 lozenges, past the default recursion limit of 1,000: refused
-        # when called, not at the first draw, and before a region is built
-        def no_region(shape):
-            raise AssertionError("built a region too deep to search")
+        # 1,201 lozenges, past the default recursion limit of 1,000: the walk
+        # and the listing refuse it before they read a row or build a region
+        def no_rows(shape):
+            raise AssertionError("read rows too deep to search")
 
-        monkeypatch.setattr("skewcount.tilings.region_from_shape", no_region)
+        monkeypatch.setattr("skewcount.tilings.region_from_shape", no_rows)
+        monkeypatch.setattr("skewcount.tilings._row_spans", no_rows)
         with pytest.raises(ShapeError, match="deeper than Python's recursion limit"):
-            iter_tilings(SkewShape((600,)))
+            walk_tilings(SkewShape((600,)), print)
+        with pytest.raises(ShapeError, match="deeper than Python's recursion limit"):
+            tiling_listing(SkewShape((600,)))
 
 
 class TestCensus:
@@ -523,7 +552,7 @@ class TestRenderSvg:
         for shape in sweep(2, 3):
             region = region_from_shape(shape)
             m, width, n = shape.m, shape.width, shape.n
-            for tiling in iter_tilings(shape):
+            for tiling in enumerate_tilings(shape):
                 assert self.fills(render_svg(region, tiling, "a")) == (width + n, 0)
                 assert self.fills(render_svg(region, tiling, "b")) == (0, m + n)
                 assert self.fills(render_svg(region, tiling, "both")) == (width, m + n)
