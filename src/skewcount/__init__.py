@@ -26,7 +26,7 @@ _SUBMODULE = {
             "GVConfig", "PathFamily", "enumerate_disjoint_families", "gv_count",
             "gv_endpoints", "gv_matrix",
         ),
-        "kreweras": ("kreweras_count", "kreweras_matrix", "remove_empty_rows"),
+        "kreweras": ("kreweras_count", "kreweras_matrix"),
         "paths": (
             "LatticePath", "count_monotone", "count_paths_dp", "enumerate_paths",
             "is_admissible", "path_from_north_record",
@@ -40,7 +40,6 @@ _SUBMODULE = {
             "Triangle", "TriPoint", "enumerate_tilings", "extract_family",
             "family_A_to_lattice_path", "family_B_to_z2_paths", "lattice_path_to_tiling",
             "lozenge_corners", "lozenge_triangles", "region_from_shape", "render_svg",
-            "tiling_type_census",
         ),
     }.items()
     for name in names

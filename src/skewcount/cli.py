@@ -1,7 +1,7 @@
 """Command line front end: counting, cross-verification sweeps, listings, rendering.
 
 Exit codes: 0 success (verify: all methods agree), 1 verify disagreement,
-2 malformed input, 3 enumeration cap exceeded.
+2 malformed input, 3 enumeration cap exceeded, 141 stdout closed early.
 """
 
 from __future__ import annotations
@@ -163,9 +163,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
             # the pool's queues for each, while a few tasks a worker still even
             # out shapes of unequal cost
             chunk = max(1, len(shapes) // (8 * workers))
-            first_bad, capped = _emit_reports(
-                pool.map(partial(_verify_one, cap=cap), shapes, chunksize=chunk)
-            )
+            try:
+                first_bad, capped = _emit_reports(
+                    pool.map(partial(_verify_one, cap=cap), shapes, chunksize=chunk)
+                )
+            except BrokenPipeError:
+                # no one reads the rest: leaving the block waits only for the
+                # tasks the workers have already taken, not for the whole sweep
+                pool.shutdown(wait=False, cancel_futures=True)
+                raise
     else:
         first_bad, capped = _emit_reports(_verify_one(shape, cap) for shape in shapes)
     # a disagreement outranks a cap: exit 1 over exit 3
@@ -196,8 +202,6 @@ def _emit_reports(reports) -> tuple[dict | None, bool]:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    import json
-
     shape = parse_shape(args.shape)
     cap = _resolve_cap(args)
     limit = None if args.limit is None else parse_integer(args.limit, "--limit", 0)
@@ -211,15 +215,17 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     truncated = len(shown) == stop
     if truncated:
         shown.pop()
-    for item in shown:
-        if args.fmt == "json":
+    if args.fmt == "json":
+        import json
+
+        for item in shown:
             print(json.dumps(item.to_json(), sort_keys=True))
-        else:
-            print(as_text(item))
-    if truncated:
-        if args.fmt == "json":
+        if truncated:
             print(json.dumps({"truncated": True, "shown": len(shown), "total": total}))
-        else:
+    else:
+        for item in shown:
+            print(as_text(item))
+        if truncated:
             print(f"... truncated: showing {len(shown)} of {total}")
     return 0
 
@@ -332,7 +338,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early, as `| head -1` does: the flush at exit
+        # writes to devnull, and the status is that of a death by SIGPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

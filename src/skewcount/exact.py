@@ -53,12 +53,6 @@ class IntMatrix(NamedTuple("IntMatrix", [("rows", int), ("cols", int), ("entries
             raise ValueError("rows have unequal lengths")
         return cls(len(row_list), cols, tuple(x for r in row_list for x in r))
 
-    def entry(self, i: int, j: int) -> int:
-        """Entry at 0-based (i, j)."""
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"({i}, {j}) outside {self.rows}x{self.cols} matrix")
-        return self.entries[i * self.cols + j]
-
     def row_lists(self) -> list[list[int]]:
         return [
             list(self.entries[i * self.cols : (i + 1) * self.cols])

@@ -11,7 +11,6 @@ validates that at desk scale.
 from __future__ import annotations
 
 from functools import partial
-from itertools import combinations
 from typing import Callable, NamedTuple
 
 from .errors import InvariantError, take_leaves
@@ -40,12 +39,6 @@ class PathFamily(NamedTuple):
     """A tuple of monotone paths, one per start point."""
 
     paths: tuple[LatticePath, ...]
-
-    def is_vertex_disjoint(self) -> bool:
-        for p, q in combinations(self.paths, 2):
-            if set(p.vertices()) & set(q.vertices()):
-                return False
-        return True
 
     def to_json(self) -> dict:
         return {"paths": [{"start": list(p.start), "steps": p.steps} for p in self.paths]}

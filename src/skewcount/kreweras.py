@@ -38,12 +38,3 @@ def kreweras_count(shape: SkewShape) -> int:
         raise InvariantError(f"negative path count {value} for {shape}")
     return value
 
-
-def remove_empty_rows(shape: SkewShape) -> SkewShape:
-    """Drop every row with outer_i == inner_i, keeping the rest in order."""
-    kept = [
-        (shape.outer.part(i), shape.inner.part(i))
-        for i in range(shape.n)
-        if shape.outer.part(i) != shape.inner.part(i)
-    ]
-    return SkewShape(tuple(o for o, _ in kept), tuple(i for _, i in kept))

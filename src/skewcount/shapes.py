@@ -71,11 +71,6 @@ class Partition(tuple):
         return super().__new__(cls, parts)
 
     @property
-    def parts(self) -> tuple[int, ...]:
-        """The parts as a plain tuple."""
-        return tuple(self)
-
-    @property
     def size(self) -> int:
         """Total number of cells."""
         return sum(self)

@@ -103,18 +103,9 @@ def lozenge_corners(loz: Lozenge) -> tuple[TriPoint, TriPoint, TriPoint, TriPoin
 
 
 class Region(NamedTuple):
-    """A boundary polygon (closed implicitly) and the unit triangles inside it."""
+    """A region's boundary polygon, closed implicitly: what :func:`render_svg` draws."""
 
     boundary: tuple[TriPoint, ...]
-    triangles: frozenset[Triangle]
-
-    @property
-    def up_count(self) -> int:
-        return sum(1 for t in self.triangles if t.up)
-
-    @property
-    def down_count(self) -> int:
-        return sum(1 for t in self.triangles if not t.up)
 
 
 class Tiling(NamedTuple):
@@ -200,14 +191,13 @@ def region_lozenges(shape: SkewShape) -> int:
 
 
 def region_from_shape(shape: SkewShape) -> Region:
-    """The tiling region of a shape, to draw or to check a tiling against: the
-    inner profile, then the outer profile pushed one unit along v, walked as a
-    closed polygon, with its triangles read row by row between the two
-    profiles' north steps. A shape of more than ``MAX_REGION_LOZENGES``
-    lozenges is a ShapeError, raised before the walk is built."""
+    """The tiling region of a shape, to draw: the inner profile, then the outer
+    profile pushed one unit along v, walked as a closed polygon. A shape of
+    more than ``MAX_REGION_LOZENGES`` lozenges is a ShapeError, raised before
+    the walk is built."""
     region_lozenges(shape)
     if shape.n == 0:
-        return Region((), frozenset())
+        return Region(())
     # the inner and outer profiles: the paths whose north records are the lo and hi bounds
     los, his = zip(*shape.north_step_bounds())
     near = [TriPoint(x, y) for x, y in path_from_north_record(los, shape.width).vertices()]
@@ -217,11 +207,7 @@ def region_from_shape(shape: SkewShape) -> Region:
         raise InvariantError(
             f"boundary walk revisits a vertex for shape {format_shape(shape)}"
         )
-    triangles = _interior_triangles(shape)
-    ups = sum(1 for t in triangles if t.up)
-    if 2 * ups != len(triangles):
-        raise InvariantError("region has unequal UP/DOWN triangle counts")
-    return Region(walk, frozenset(triangles))
+    return Region(walk)
 
 
 def walk_tilings(shape: SkewShape, visit: Callable[[list[int]], None]) -> None:
@@ -440,14 +426,6 @@ def family_B_to_z2_paths(family: RhombusPathFamily, shape: SkewShape) -> PathFam
             )
         out.append(path)
     return PathFamily(tuple(out))
-
-
-def tiling_type_census(tiling: Tiling) -> tuple[int, int, int]:
-    """(T1, T2, T3) counts; always (m, width, n) for a tiling of a shape's region."""
-    counts = [0, 0, 0]
-    for loz in tiling.lozenges:
-        counts[loz.kind - 1] += 1
-    return tuple(counts)
 
 
 _SQRT3_2 = math.sqrt(3.0) / 2.0

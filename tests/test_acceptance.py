@@ -16,18 +16,20 @@ from skewcount.gv import (
     gv_endpoints,
     gv_matrix,
 )
-from skewcount.kreweras import kreweras_count, kreweras_matrix, remove_empty_rows
+from skewcount.kreweras import kreweras_count, kreweras_matrix
 from skewcount.paths import count_paths_dp, enumerate_paths
 from skewcount.shapes import Partition, SkewShape, parse_shape, partitions_in_box, subpartitions
 from skewcount.tilings import (
+    _interior_triangles,
     enumerate_tilings,
     extract_family,
     family_A_to_lattice_path,
     family_B_to_z2_paths,
     lattice_path_to_tiling,
-    region_from_shape,
-    tiling_type_census,
 )
+from test_gv import is_vertex_disjoint
+from test_kreweras import remove_empty_rows
+from test_tilings import type_census, up_down_counts
 
 BIG_FIXTURE = parse_shape("9,7,6,2/3,1")
 BIG_FIXTURE_COUNT = 399  # pinned after first computation
@@ -95,7 +97,7 @@ def test_03_disjoint_families_match_determinants():
             assert len(families) == gv_count(config)
             assert len(families) == kreweras_count(shape)
             for family in families:
-                assert family.is_vertex_disjoint()
+                assert is_vertex_disjoint(family)
                 # only the identity pairing of starts to ends ever occurs
                 for i, path in enumerate(family.paths):
                     assert path.start == config.starts[i]
@@ -146,12 +148,12 @@ def test_06_closed_forms():
 def test_07_balance_and_census():
     with criterion(7, "region balance and per-tiling type census over 3x3"):
         for shape in box_shapes(3, 3):
-            region = region_from_shape(shape)
+            ups, downs = up_down_counts(_interior_triangles(shape))
             expected = shape.m + shape.width + shape.n
-            assert region.up_count == expected
-            assert region.down_count == expected
+            assert ups == expected
+            assert downs == expected
             for tiling in enumerate_tilings(shape):
-                assert tiling_type_census(tiling) == (shape.m, shape.width, shape.n)
+                assert type_census(tiling) == (shape.m, shape.width, shape.n)
 
 
 def test_08_empty_row_invariance():
@@ -159,8 +161,8 @@ def test_08_empty_row_invariance():
         for shape in box_shapes(4, 4):
             row = max(shape.width, 1)
             extended = SkewShape(
-                Partition((row,) + shape.outer.parts),
-                Partition((row,) + shape.inner.parts),
+                Partition((row, *shape.outer)),
+                Partition((row, *shape.inner)),
             )
             base = kreweras_count(shape)
             assert kreweras_count(extended) == base

@@ -18,13 +18,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_python(*args, timeout=20):
-    """``python ARGS...`` in a fresh interpreter that imports this package."""
+def package_env():
+    """The environment of a fresh interpreter that imports this package."""
     src = str(Path(skewcount.__file__).resolve().parents[1])
     path = [p for p in (src, os.environ.get("PYTHONPATH")) if p]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
+def run_python(*args, timeout=20):
+    """``python ARGS...`` in a fresh interpreter that imports this package."""
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout,
+        [sys.executable, *args], env=package_env(), capture_output=True, text=True,
+        timeout=timeout,
     )
 
 
@@ -271,7 +276,7 @@ print([m for m in {modules!r} if m in sys.modules])
 """
 # LOADED for the modules only some commands need
 ROUTES_LOADED = LOADED.format(
-    modules=("skewcount.gv", "skewcount.tilings", "concurrent.futures.process")
+    modules=("skewcount.gv", "skewcount.tilings", "concurrent.futures.process", "json")
 )
 
 # runs verify with the det route wrapped to record what was loaded when it first ran
@@ -306,7 +311,17 @@ class TestImportBudget:
                     ("gv", ["skewcount.gv"]),
                 ]
             ),
+            # json is loaded only to write JSON: by verify, and by --format json
+            pytest.param(
+                ["verify", "2,1"], ["skewcount.gv", "skewcount.tilings", "json"], id="verify"
+            ),
             pytest.param(["enumerate", "2,1", "paths"], [], id="enumerate-paths"),
+            pytest.param(
+                ["enumerate", "2,1", "paths", "--limit", "1"], [], id="enumerate-paths-limit"
+            ),
+            pytest.param(
+                ["enumerate", "2,1", "paths", "--format", "json"], ["json"], id="enumerate-json"
+            ),
             pytest.param(
                 ["enumerate", "2,1", "tilings"], ["skewcount.tilings"], id="enumerate-tilings"
             ),
@@ -892,6 +907,46 @@ class TestIntegerFlags:
             code, out, _ = run(capsys, "verify", "--box", box)
             shapes = [json.loads(line)["shape"] for line in out.splitlines()]
             assert (code, len(shapes), shapes[-1]) == (0, 50, "3,3/3,3")
+
+
+# runs the CLI with a byte written to the file argv[1] for each shape verify
+# starts; pool workers are forked from it, so their shapes count too
+COUNTED = """
+import os, sys
+from skewcount import cli
+log = os.open(sys.argv[1], os.O_WRONLY | os.O_APPEND)
+verify_one = cli._verify_one
+def counted(shape, cap):
+    os.write(log, b".")
+    return verify_one(shape, cap)
+cli._verify_one = counted
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_verify_stops_when_the_reader_leaves(self, tmp_path, jobs):
+        # `verify --box 5x5 | head -1`: the sweep holds 19,404 shapes
+        log, err = tmp_path / "started", tmp_path / "err"
+        log.touch()
+        with err.open("wb") as err_file:
+            proc = subprocess.Popen(
+                [sys.executable, "-c", COUNTED, str(log), "verify", "--box", "5x5", "--jobs", jobs],
+                env=package_env(), stdout=subprocess.PIPE, stderr=err_file,
+            )
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+        assert json.loads(first)["agree"]
+        # the status of a death by SIGPIPE, and no traceback
+        assert (code, err.read_bytes()) == (141, b"")
+        # a pool drops the tasks no worker has taken: of 16 chunks of 1,212
+        # shapes, only those running or queued for a worker still finish
+        assert log.stat().st_size < 19_404 // 2
 
 
 class FakePool:

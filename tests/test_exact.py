@@ -55,16 +55,11 @@ class TestBinomial:
 
 
 class TestIntMatrix:
-    def test_from_rows_and_entry(self):
+    def test_from_rows(self):
         m = IntMatrix.from_rows([[1, 2], [3, 4]])
         assert (m.rows, m.cols) == (2, 2)
-        assert m.entry(1, 0) == 3
+        assert m.entries == (1, 2, 3, 4)
         assert m.row_lists() == [[1, 2], [3, 4]]
-
-    def test_entry_bounds(self):
-        m = IntMatrix.from_rows([[1]])
-        with pytest.raises(IndexError):
-            m.entry(0, 1)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

@@ -59,12 +59,12 @@ TILING = lattice_path_to_tiling(SHAPE, LatticePath((0, 0), "NENE"))
 
 # one value of each public value type, with one of its fields
 VALUES = {
-    "Partition": (Partition((2, 1)), "parts"),
+    "Partition": (Partition((2, 1)), "width"),
     "SkewShape": (parse_shape("3,2/1"), "outer"),
     "LatticePath": (LatticePath((0, 0), "NENE"), "steps"),
     "IntMatrix": (kreweras_matrix(SHAPE), "entries"),
     "GVConfig": (gv_endpoints(SHAPE), "starts"),
-    "Region": (region_from_shape(SHAPE), "triangles"),
+    "Region": (region_from_shape(SHAPE), "boundary"),
     "Tiling": (TILING, "lozenges"),
     "PathFamily": (enumerate_disjoint_families(gv_endpoints(SHAPE))[0], "paths"),
     "RhombusPathFamily": (extract_family(TILING, "b"), "direction"),

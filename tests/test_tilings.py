@@ -38,10 +38,10 @@ from skewcount.tilings import (
     region_from_shape,
     render_svg,
     tiling_listing,
-    tiling_type_census,
     triangle_vertices,
     walk_tilings,
 )
+from test_gv import is_vertex_disjoint
 from test_kreweras import skew_shapes
 
 HEXAGON = parse_shape("1")
@@ -86,6 +86,25 @@ def ray_cast_triangles(boundary):
     return out
 
 
+def region_triangles(shape):
+    """The region's triangles by the ray cast of its boundary alone."""
+    return ray_cast_triangles(region_from_shape(shape).boundary)
+
+
+def up_down_counts(triangles):
+    """(UP, DOWN) counts of a list of triangles."""
+    ups = sum(1 for t in triangles if t.up)
+    return ups, len(triangles) - ups
+
+
+def type_census(tiling):
+    """(T1, T2, T3) counts; always (m, width, n) for a tiling of a shape's region."""
+    counts = [0, 0, 0]
+    for loz in tiling.lozenges:
+        counts[loz.kind - 1] += 1
+    return tuple(counts)
+
+
 def _pairings(t):
     """The three lozenges that could cover t, with the partner each needs,
     written out from each triangle's side apart from lozenge_triangles."""
@@ -103,12 +122,12 @@ def _pairings(t):
     )
 
 
-def set_search_tilings(region):
-    """Reference tiling search: the same backtracking order as walk_tilings,
-    but with coverage as a set of triangles and each triangle's pairings
-    looked up at every node."""
-    order = sorted(region.triangles, key=lambda t: (t.b, t.a, 0 if t.up else 1))
-    present = region.triangles
+def set_search_tilings(present):
+    """Reference tiling search of the region whose triangles are the set
+    ``present``: the same backtracking order as walk_tilings, but with
+    coverage as a set of triangles and each triangle's pairings looked up at
+    every node."""
+    order = sorted(present, key=lambda t: (t.b, t.a, 0 if t.up else 1))
     covered = set()
     chosen = []
 
@@ -168,8 +187,9 @@ class TestRegion:
             TriPoint(0, 0), TriPoint(0, 1), TriPoint(1, 1),
             TriPoint(2, 0), TriPoint(2, -1), TriPoint(1, -1),
         )
-        assert len(region.triangles) == 6
-        assert region.up_count == region.down_count == 3
+        triangles = _interior_triangles(HEXAGON)
+        assert len(triangles) == 6
+        assert up_down_counts(triangles) == (3, 3)
 
     def test_square_shape_hexagon(self):
         region = region_from_shape(parse_shape("2,2"))
@@ -179,47 +199,53 @@ class TestRegion:
             TriPoint(3, 1), TriPoint(3, 0), TriPoint(3, -1),
             TriPoint(2, -1), TriPoint(1, -1),
         )
-        assert len(region.triangles) == 16
+        assert len(_interior_triangles(parse_shape("2,2"))) == 16
 
     def test_empty_shape(self):
-        region = region_from_shape(parse_shape("0"))
-        assert region == Region((), frozenset())
+        shape = parse_shape("0")
+        assert region_from_shape(shape) == Region(())
+        assert _interior_triangles(shape) == []
 
     def test_triangle_count_formula(self):
         for shape in sweep(2, 3):
-            region = region_from_shape(shape)
+            triangles = _interior_triangles(shape)
+            assert set(triangles) == region_triangles(shape), shape
             expected = shape.m + shape.width + shape.n
-            assert region.up_count == region.down_count == expected
+            assert up_down_counts(triangles) == (expected, expected)
 
     def test_ribbon_of_empty_rows(self):
         # fully degenerate shape: the region is a width-one ribbon, tiled one way
         shape = parse_shape("2,1/2,1")
-        assert len(region_from_shape(shape).triangles) == 8
+        assert len(region_triangles(shape)) == len(_interior_triangles(shape)) == 8
         assert len(enumerate_tilings(shape)) == 1
 
     def test_matches_ray_cast_on_5x5_box(self):
+        # the rows list each triangle once, and exactly those the outline holds
         for shape in sweep(5, 5):
-            region = region_from_shape(shape)
-            assert region.triangles == ray_cast_triangles(region.boundary), shape
+            triangles = _interior_triangles(shape)
+            assert len(set(triangles)) == len(triangles), shape
+            assert set(triangles) == region_triangles(shape), shape
 
     # the inner parts are rowwise mins, so some rows come out empty
     @given(skew_shapes(max_rows=25, max_width=25))
     @example(parse_shape("2,1/2,1"))
     @example(parse_shape("20,20,15,9,9,4,1/20,15,15,9,4,4"))
     def test_matches_ray_cast_on_random_shapes(self, shape):
-        region = region_from_shape(shape)
-        assert region.triangles == ray_cast_triangles(region.boundary)
+        triangles = _interior_triangles(shape)
+        assert len(set(triangles)) == len(triangles)
+        assert set(triangles) == region_triangles(shape)
         expected = shape.m + shape.width + shape.n
-        assert region.up_count == region.down_count == expected
+        assert up_down_counts(triangles) == (expected, expected)
 
     def test_staircase_200_scales(self):
         # a bounding-box ray cast would take minutes here; this guards the
         # O(rows + triangles) build without timing it
         shape = SkewShape(Partition(tuple(range(200, 0, -1))))
-        region = region_from_shape(shape)
         expected = shape.m + shape.width + shape.n
         assert expected == 20500
-        assert region.up_count == region.down_count == expected
+        assert up_down_counts(_interior_triangles(shape)) == (expected, expected)
+        # the outline walks both profiles, n + width + 1 vertices each
+        assert len(region_from_shape(shape).boundary) == 2 * (shape.n + shape.width + 1)
 
 
 class TestEnumerateTilings:
@@ -239,11 +265,11 @@ class TestEnumerateTilings:
 
     def test_tilings_cover_region_exactly(self):
         shape = parse_shape("2,1")
-        region = region_from_shape(shape)
+        present = region_triangles(shape)
         for tiling in enumerate_tilings(shape):
             covered = [t for loz in tiling.lozenges for t in lozenge_triangles(loz)]
             assert len(covered) == len(set(covered))
-            assert set(covered) == region.triangles
+            assert set(covered) == present
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
@@ -255,15 +281,15 @@ class TestEnumerateTilings:
 
     def test_matches_set_search_on_4x4_box(self):
         for shape in sweep(4, 4):
-            region = region_from_shape(shape)
-            assert enumerate_tilings(shape) == list(set_search_tilings(region)), shape
+            present = region_triangles(shape)
+            assert enumerate_tilings(shape) == list(set_search_tilings(present)), shape
 
     @given(skew_shapes(max_rows=6, max_width=6))
     @example(parse_shape("2,1/2,1"))
     @example(parse_shape("20,20,15,9,9,4,1/20,15,15,9,4,4"))
     def test_matches_set_search_on_random_shapes(self, shape):
-        region = region_from_shape(shape)
-        assert enumerate_tilings(shape) == list(set_search_tilings(region))
+        present = region_triangles(shape)
+        assert enumerate_tilings(shape) == list(set_search_tilings(present))
 
     def test_pairing_table_is_built_once(self, monkeypatch):
         # one read of the row spans per walk, and no lozenge's triangles looked up
@@ -313,15 +339,15 @@ class TestEnumerateTilings:
 class TestCensus:
     def test_unit_hexagon(self):
         for tiling in enumerate_tilings(HEXAGON):
-            assert tiling_type_census(tiling) == (1, 1, 1)
+            assert type_census(tiling) == (1, 1, 1)
 
     def test_census_is_shape_data(self):
         for shape in sweep(2, 2):
             for tiling in enumerate_tilings(shape):
-                assert tiling_type_census(tiling) == (shape.m, shape.width, shape.n)
+                assert type_census(tiling) == (shape.m, shape.width, shape.n)
 
     def test_empty(self):
-        assert tiling_type_census(Tiling(frozenset())) == (0, 0, 0)
+        assert type_census(Tiling(frozenset())) == (0, 0, 0)
 
 
 class TestChainExtraction:
@@ -475,7 +501,7 @@ class TestFamilyB:
         shape = parse_shape("3,2,1")
         for tiling in enumerate_tilings(shape):
             family = family_B_to_z2_paths(extract_family(tiling, "b"), shape)
-            assert family.is_vertex_disjoint()
+            assert is_vertex_disjoint(family)
 
     def test_empty_shape(self):
         family = family_B_to_z2_paths(
@@ -568,7 +594,7 @@ class TestRenderSvg:
         assert svg.count("<polygon") == 1
 
     def test_empty_region(self):
-        svg = render_svg(Region((), frozenset()))
+        svg = render_svg(Region(()))
         assert svg.startswith("<svg ") and svg.endswith("/>\n")
 
     def test_bad_shade(self):
