@@ -152,26 +152,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cap = _resolve_cap(args)
     if args.box:
         shapes = _box_sweep(*sides, cap)
-    # a pool forks all its workers at the first submit, so never ask for more
+    # a pool forks all its workers when it is made, so never ask for more
     # than there are shapes or CPUs
     workers = min(jobs, len(shapes), os.cpu_count() or 1)
     if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+        import multiprocessing
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # leaving the block terminates the workers, however it is left: at the
+        # sweep's end, on a closed stdout, a worker's error or Ctrl-C
+        with multiprocessing.Pool(workers) as pool:
             # about 8 tasks a worker: a task per shape pays a round trip through
             # the pool's queues for each, while a few tasks a worker still even
             # out shapes of unequal cost
             chunk = max(1, len(shapes) // (8 * workers))
-            try:
-                first_bad, capped = _emit_reports(
-                    pool.map(partial(_verify_one, cap=cap), shapes, chunksize=chunk)
-                )
-            except BrokenPipeError:
-                # no one reads the rest: leaving the block waits only for the
-                # tasks the workers have already taken, not for the whole sweep
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
+            first_bad, capped = _emit_reports(
+                pool.imap(partial(_verify_one, cap=cap), shapes, chunksize=chunk)
+            )
     else:
         first_bad, capped = _emit_reports(_verify_one(shape, cap) for shape in shapes)
     # a disagreement outranks a cap: exit 1 over exit 3

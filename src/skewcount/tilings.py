@@ -285,13 +285,9 @@ def enumerate_tilings(shape: SkewShape, cap: int | None = None) -> list[Tiling]:
 
 
 def _side_keys(direction: str, loz: Lozenge) -> tuple[TriPoint, TriPoint]:
-    """(entry, exit) keys of a lozenge's two direction-parallel sides."""
-    sides = _CHAIN_SIDES.get(direction)
-    if sides is None:
-        raise ValueError(f"unknown chain direction {direction!r}")
-    if loz.kind not in sides:
-        raise ValueError(f"kind {loz.kind} lozenges have no {direction!r}-parallel sides")
-    (ea, eb), (xa, xb) = sides[loz.kind]
+    """(entry, exit) keys of a lozenge's two direction-parallel sides. Each
+    caller has already refused an unknown direction or a kind without such sides."""
+    (ea, eb), (xa, xb) = _CHAIN_SIDES[direction][loz.kind]
     return (TriPoint(loz.a + ea, loz.b + eb), TriPoint(loz.a + xa, loz.b + xb))
 
 

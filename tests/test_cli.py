@@ -252,6 +252,22 @@ class TestVerify:
         assert json.loads(first)["shape"] == "2,1" and json.loads(last)["shape"] == "2,2"
         assert capped == '{"cap": 10, "capped": "enum", "shape": "9,7,6,2/3,1"}'
 
+    def test_worker_error_crosses_the_pool(self, capsys, monkeypatch):
+        # 99999 is too deep to search: a real pool re-raises the worker's
+        # ShapeError after the 2,1 report, as the serial loop raises it
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        results = []
+        for jobs in ["1", "2"]:
+            code, out, err = run(capsys, "verify", "2,1", "99999", "--jobs", jobs)
+            reports = [json.loads(line) for line in out.splitlines()]
+            for report in reports:
+                del report["elapsed_ms"]
+            results.append((code, reports, err))
+        assert results[0] == results[1]
+        code, reports, err = results[1]
+        assert (code, [r["shape"] for r in reports]) == (2, ["2,1"])
+        assert err.startswith("error: shape too large to search: ") and err.count("\n") == 1
+
     def test_disagreement_outranks_a_cap(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "kreweras_count", lambda shape: 999)
         code, out, err = run(capsys, "verify", "9,7,6,2/3,1", "1", "--cap", "10")
@@ -276,7 +292,7 @@ print([m for m in {modules!r} if m in sys.modules])
 """
 # LOADED for the modules only some commands need
 ROUTES_LOADED = LOADED.format(
-    modules=("skewcount.gv", "skewcount.tilings", "concurrent.futures.process", "json")
+    modules=("skewcount.gv", "skewcount.tilings", "multiprocessing.pool", "json")
 )
 
 # runs verify with the det route wrapped to record what was loaded when it first ran
@@ -944,19 +960,20 @@ class TestClosedStdout:
         assert json.loads(first)["agree"]
         # the status of a death by SIGPIPE, and no traceback
         assert (code, err.read_bytes()) == (141, b"")
-        # a pool drops the tasks no worker has taken: of 16 chunks of 1,212
-        # shapes, only those running or queued for a worker still finish
-        assert log.stat().st_size < 19_404 // 2
+        # leaving the pool terminates its workers: of 16 chunks of 1,212
+        # shapes, only the two the workers are running have started (the bound
+        # leaves room for one more)
+        assert log.stat().st_size < 3 * 1_212
 
 
 class FakePool:
-    """Stands in for ProcessPoolExecutor: records max_workers and chunksize, maps serially."""
+    """Stands in for multiprocessing.Pool: records processes and chunksize, maps serially."""
 
     sizes: list = []
     chunks: list = []
 
-    def __init__(self, max_workers):
-        FakePool.sizes.append(max_workers)
+    def __init__(self, processes):
+        FakePool.sizes.append(processes)
 
     def __enter__(self):
         return self
@@ -964,7 +981,7 @@ class FakePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items, chunksize=1):
+    def imap(self, fn, items, chunksize=1):
         FakePool.chunks.append(chunksize)
         return map(fn, items)
 
@@ -981,7 +998,7 @@ class TestJobsClamp:
     )
     def test_workers_bounded(self, capsys, monkeypatch, cpus, targets, sizes):
         # cli imports the pool class inside the parallel branch, at call time
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr("multiprocessing.Pool", FakePool)
         monkeypatch.setattr(FakePool, "sizes", [])
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         code, out, _ = run(capsys, "verify", *targets, "--jobs", "100000")
@@ -999,7 +1016,7 @@ class TestJobsClamp:
         ],
     )
     def test_shapes_go_out_in_chunks(self, capsys, monkeypatch, box, cpus, shapes, chunk):
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr("multiprocessing.Pool", FakePool)
         monkeypatch.setattr(FakePool, "sizes", [])
         monkeypatch.setattr(FakePool, "chunks", [])
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
