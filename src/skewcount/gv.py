@@ -84,7 +84,7 @@ def walk_families(config: GVConfig, visit: Callable[[dict[int, int]], None]) -> 
     through :func:`~skewcount.errors.drive`.
 
     Built once per configuration, before the walk: the ends each start is
-    the last to reach, for the cut of partial families that cannot complete.
+    the last to reach, so that no start picks an end that leaves one unused.
     Occupancy holds only the vertices of the paths grown so far, never a table
     of the configuration's bounding box.
     """
@@ -112,19 +112,19 @@ def walk_families(config: GVConfig, visit: Callable[[dict[int, int]], None]) -> 
                 )
             visit(occupied)
             return
-        # cut a branch that cannot complete: an unused end no remaining start
-        # can reach. Ends stranded before k passed this check on the way here,
-        # and stay used, so only those stranded at k need it
-        for j in stranded[k]:
-            if not used_ends[j]:
-                return
         sx, sy = starts[k]
         for j, (ex, ey) in enumerate(ends):
             if not used_ends[j] and ex >= sx and ey >= sy:
                 used_ends[j] = True
-                pairing.append(j)
-                grow(k, sy * width + sx, ex - sx, ey - sy)
-                pairing.pop()
+                # grow no path for a pick that leaves unused an end no later
+                # start reaches; ends stranded before k + 1 passed an earlier pick
+                for s in stranded[k + 1]:
+                    if not used_ends[s]:
+                        break
+                else:
+                    pairing.append(j)
+                    grow(k, sy * width + sx, ex - sx, ey - sy)
+                    pairing.pop()
                 used_ends[j] = False
 
     def grow(k: int, v: int, east: int, north: int) -> None:
@@ -142,7 +142,8 @@ def walk_families(config: GVConfig, visit: Callable[[dict[int, int]], None]) -> 
             place(k + 1)
         del occupied[v]
 
-    place(0)
+    if not stranded[0]:  # an end no start reaches: no family
+        place(0)
 
 
 def _id_width(config: GVConfig) -> int:

@@ -169,18 +169,6 @@ def _row_spans(shape: SkewShape) -> list[tuple[int, range, range, int]]:
     return rows
 
 
-def _interior_triangles(shape: SkewShape) -> list[Triangle]:
-    # the region's triangles in the tiling search's order
-    out = []
-    for b, ups, downs, _ in _row_spans(shape):
-        for a in range(min(ups.start, downs.start), max(ups.stop, downs.stop)):
-            if a in ups:
-                out.append(Triangle(a, b, True))
-            if a in downs:
-                out.append(Triangle(a, b, False))
-    return out
-
-
 def region_lozenges(shape: SkewShape) -> int:
     """The number of lozenges in the shape's region, m + width + n (the T1, T2
     and T3 counts of its every tiling), read off the shape alone. Past
@@ -368,16 +356,16 @@ def lattice_path_to_tiling(shape: SkewShape, path: LatticePath) -> Tiling:
     """Tile the shape's region so the "a"-direction chain traces the path.
 
     Each E step at (a, b) lays Lozenge(T2, a+1, b-1), each N step
-    Lozenge(T3, a, b); the rest of the region splits uniquely into sheared
-    cells (T1 lozenges), checked to cover each triangle once. It reads the
-    region's rows, not a :class:`Region`: the row reader's size guard bounds
-    it, not the recursion limit, since it does not recurse.
+    Lozenge(T3, a, b); every other UP(a, b) of the region's rows keys a
+    sheared cell, Lozenge(T1, a, b). Their :func:`lozenge_triangles` must
+    cover the rows' triangles once each. It builds no :class:`Region`, and
+    the row reader's size guard bounds it, since it does not recurse.
     """
     if not is_admissible(shape, path):  # wrong corners raise WrongEndpointsError
         raise NotAdmissibleError(
             f"path {path.steps!r} leaves shape {format_shape(shape)}"
         )
-    triangles = _interior_triangles(shape)
+    rows = _row_spans(shape)
     lozenges = []
     a, b = path.start
     for s in path.steps:
@@ -387,10 +375,14 @@ def lattice_path_to_tiling(shape: SkewShape, path: LatticePath) -> Tiling:
         else:
             lozenges.append(Lozenge(T3, a, b))
             b += 1
-    on_path = {lozenge_triangles(loz)[0] for loz in lozenges}
-    lozenges += [Lozenge(T1, t.a, t.b) for t in triangles if t.up and t not in on_path]
+    on_path = {(loz.a, loz.b) for loz in lozenges}
+    triangles = set()  # plain (a, b, up) tuples: a Triangle equals its tuple
+    for y, ups, downs, _ in rows:
+        lozenges += [Lozenge(T1, x, y) for x in ups if (x, y) not in on_path]
+        triangles.update((x, y, True) for x in ups)
+        triangles.update((x, y, False) for x in downs)
     covered = [t for loz in lozenges for t in lozenge_triangles(loz)]
-    if len(covered) != len(triangles) or set(covered) != set(triangles):
+    if len(covered) != len(triangles) or set(covered) != triangles:
         raise InvariantError(f"path {path.steps!r} does not tile {format_shape(shape)}")
     return Tiling(frozenset(lozenges))
 
@@ -464,14 +456,14 @@ def render_svg(region: Region, tiling: Tiling | None = None, shade: str = "both"
         f'viewBox="{x0:.3f} {y0:.3f} {w:.3f} {h:.3f}">'
     ]
     if tiling is not None:
+        fills = {}  # kind -> colour; b after a, so dark wins on the shared kind
+        for direction, colour in (("a", _LIGHT), ("b", _DARK)):
+            if shade in (direction, "both"):
+                fills.update(dict.fromkeys(_CHAIN_SIDES[direction], colour))
         for loz in tiling.sorted_lozenges():
-            fill = _PLAIN
-            for direction, colour in (("a", _LIGHT), ("b", _DARK)):
-                if shade in (direction, "both") and loz.kind in _CHAIN_SIDES[direction]:
-                    fill = colour
             lines.append(
                 f'  <polygon points="{_fmt_points(lozenge_corners(loz))}" '
-                f'fill="{fill}" stroke="#000000" stroke-width="1.2" '
+                f'fill="{fills.get(loz.kind, _PLAIN)}" stroke="#000000" stroke-width="1.2" '
                 'stroke-linejoin="round"/>'
             )
     lines.append(

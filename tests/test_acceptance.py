@@ -20,7 +20,6 @@ from skewcount.kreweras import kreweras_count, kreweras_matrix
 from skewcount.paths import count_paths_dp, enumerate_paths
 from skewcount.shapes import Partition, SkewShape, parse_shape, partitions_in_box, subpartitions
 from skewcount.tilings import (
-    _interior_triangles,
     enumerate_tilings,
     extract_family,
     family_A_to_lattice_path,
@@ -29,7 +28,7 @@ from skewcount.tilings import (
 )
 from test_gv import is_vertex_disjoint
 from test_kreweras import remove_empty_rows
-from test_tilings import type_census, up_down_counts
+from test_tilings import interior_triangles, type_census, up_down_counts
 
 BIG_FIXTURE = parse_shape("9,7,6,2/3,1")
 BIG_FIXTURE_COUNT = 399  # pinned after first computation
@@ -148,7 +147,7 @@ def test_06_closed_forms():
 def test_07_balance_and_census():
     with criterion(7, "region balance and per-tiling type census over 3x3"):
         for shape in box_shapes(3, 3):
-            ups, downs = up_down_counts(_interior_triangles(shape))
+            ups, downs = up_down_counts(interior_triangles(shape))
             expected = shape.m + shape.width + shape.n
             assert ups == expected
             assert downs == expected

@@ -155,6 +155,15 @@ class TestDisjointFamilies:
         with pytest.raises(InvariantError, match=r"non-identity family PathFamily"):
             count_leaves(partial(walk_families, config), None)
 
+    def test_pick_that_strands_an_end_grows_no_path(self):
+        # only start 0 reaches end 0, so start 0 may not take end 1: growing
+        # its million-step path there first would pass the recursion limit
+        config = GVConfig(((0, 0), (999_999, 0)), ((1, 1), (1_000_000, 1)))
+        families = enumerate_disjoint_families(config)
+        assert [[p.steps for p in f.paths] for f in families] == [
+            ["NE", "NE"], ["NE", "EN"], ["EN", "NE"], ["EN", "EN"]
+        ]
+
     def test_count_matches_determinant_on_sweep(self):
         for lam in partitions_in_box(2, 3):
             for mu in subpartitions(lam):

@@ -1,3 +1,4 @@
+import random
 from functools import partial
 
 import pytest
@@ -13,8 +14,15 @@ from skewcount.errors import (
 )
 from skewcount.gv import enumerate_disjoint_families, gv_endpoints
 from skewcount.kreweras import kreweras_count
-from skewcount.paths import LatticePath, enumerate_paths
-from skewcount.shapes import Partition, SkewShape, parse_shape, partitions_in_box, subpartitions
+from skewcount.paths import LatticePath, enumerate_paths, path_from_north_record
+from skewcount.shapes import (
+    Partition,
+    SkewShape,
+    format_shape,
+    parse_shape,
+    partitions_in_box,
+    subpartitions,
+)
 from skewcount.tilings import (
     T1,
     T2,
@@ -26,7 +34,6 @@ from skewcount.tilings import (
     Triangle,
     TriPoint,
     _CHAIN_SIDES,
-    _interior_triangles,
     _row_spans,
     _side_keys,
     enumerate_tilings,
@@ -85,6 +92,18 @@ def ray_cast_triangles(boundary):
                 if sum(num > px * den for num, den in crossings) % 2:
                     out.add(Triangle(a, b, up))
     return out
+
+
+def interior_triangles(shape):
+    """The region's triangles read off its row spans, in the tiling search's
+    order: row by row, a ascending, UP before DOWN."""
+    triangles = [
+        Triangle(a, b, up)
+        for b, ups, downs, _ in _row_spans(shape)
+        for up, span in ((True, ups), (False, downs))
+        for a in span
+    ]
+    return sorted(triangles, key=lambda t: (t.b, t.a, not t.up))
 
 
 def region_triangles(shape):
@@ -188,7 +207,7 @@ class TestRegion:
             TriPoint(0, 0), TriPoint(0, 1), TriPoint(1, 1),
             TriPoint(2, 0), TriPoint(2, -1), TriPoint(1, -1),
         )
-        triangles = _interior_triangles(HEXAGON)
+        triangles = interior_triangles(HEXAGON)
         assert len(triangles) == 6
         assert up_down_counts(triangles) == (3, 3)
 
@@ -200,16 +219,16 @@ class TestRegion:
             TriPoint(3, 1), TriPoint(3, 0), TriPoint(3, -1),
             TriPoint(2, -1), TriPoint(1, -1),
         )
-        assert len(_interior_triangles(parse_shape("2,2"))) == 16
+        assert len(interior_triangles(parse_shape("2,2"))) == 16
 
     def test_empty_shape(self):
         shape = parse_shape("0")
         assert region_from_shape(shape) == Region(())
-        assert _interior_triangles(shape) == []
+        assert interior_triangles(shape) == []
 
     def test_triangle_count_formula(self):
         for shape in sweep(2, 3):
-            triangles = _interior_triangles(shape)
+            triangles = interior_triangles(shape)
             assert set(triangles) == region_triangles(shape), shape
             expected = shape.m + shape.width + shape.n
             assert up_down_counts(triangles) == (expected, expected)
@@ -217,13 +236,13 @@ class TestRegion:
     def test_ribbon_of_empty_rows(self):
         # fully degenerate shape: the region is a width-one ribbon, tiled one way
         shape = parse_shape("2,1/2,1")
-        assert len(region_triangles(shape)) == len(_interior_triangles(shape)) == 8
+        assert len(region_triangles(shape)) == len(interior_triangles(shape)) == 8
         assert len(enumerate_tilings(shape)) == 1
 
     def test_matches_ray_cast_on_5x5_box(self):
         # the rows list each triangle once, and exactly those the outline holds
         for shape in sweep(5, 5):
-            triangles = _interior_triangles(shape)
+            triangles = interior_triangles(shape)
             assert len(set(triangles)) == len(triangles), shape
             assert set(triangles) == region_triangles(shape), shape
 
@@ -232,7 +251,7 @@ class TestRegion:
     @example(parse_shape("2,1/2,1"))
     @example(parse_shape("20,20,15,9,9,4,1/20,15,15,9,4,4"))
     def test_matches_ray_cast_on_random_shapes(self, shape):
-        triangles = _interior_triangles(shape)
+        triangles = interior_triangles(shape)
         assert len(set(triangles)) == len(triangles)
         assert set(triangles) == region_triangles(shape)
         expected = shape.m + shape.width + shape.n
@@ -244,7 +263,7 @@ class TestRegion:
         shape = SkewShape(Partition(tuple(range(200, 0, -1))))
         expected = shape.m + shape.width + shape.n
         assert expected == 20500
-        assert up_down_counts(_interior_triangles(shape)) == (expected, expected)
+        assert up_down_counts(interior_triangles(shape)) == (expected, expected)
         # the outline walks both profiles, n + width + 1 vertices each
         assert len(region_from_shape(shape).boundary) == 2 * (shape.n + shape.width + 1)
 
@@ -311,8 +330,8 @@ class TestEnumerateTilings:
         assert calls == [shape]
 
     def test_row_numbers_follow_the_triangle_order(self):
-        # UP(a, b) is number base + 2a and DOWN(a, b) base + 2a + 1, as
-        # _interior_triangles lists them
+        # UP(a, b) is number base + 2a and DOWN(a, b) base + 2a + 1, in the
+        # order interior_triangles lists them
         for shape in sweep(4, 4):
             numbers = {
                 Triangle(a, b, up): base + 2 * a + (not up)
@@ -320,7 +339,7 @@ class TestEnumerateTilings:
                 for up, span in ((True, ups), (False, downs))
                 for a in span
             }
-            order = _interior_triangles(shape)
+            order = interior_triangles(shape)
             assert numbers == {t: i for i, t in enumerate(order)}, shape
 
     def test_too_deep_is_refused_at_the_call(self, monkeypatch):
@@ -415,6 +434,20 @@ class TestPathBijection:
                 tiling = lattice_path_to_tiling(shape, path)
                 back = family_A_to_lattice_path(extract_family(tiling, "a"))
                 assert back == path
+
+    @given(skew_shapes(max_rows=12, max_width=12))
+    @example(parse_shape("20,20,15,9,9,4,1/20,15,15,9,4,4"))
+    def test_round_trip_on_random_shapes(self, shape):
+        # one admissible path per shape, from a generator seeded with it: each
+        # north step at an x within its bounds and not left of the last one
+        rng = random.Random(format_shape(shape))
+        record, x = [], 0
+        for lo, hi in shape.north_step_bounds():
+            x = rng.randint(max(lo, x), hi)
+            record.append(x)
+        path = path_from_north_record(tuple(record), shape.width)
+        tiling = lattice_path_to_tiling(shape, path)
+        assert family_A_to_lattice_path(extract_family(tiling, "a")) == path
 
     def test_paths_biject_onto_tilings(self):
         shape = parse_shape("2,1")
@@ -583,6 +616,37 @@ class TestRenderSvg:
         tiling = lattice_path_to_tiling(shape, LatticePath((0, 0), "NENE"))
         svgs = [render_svg(region_from_shape(shape), tiling, s) for s in ("a", "b", "both")]
         assert [self.fills(svg) for svg in svgs] == [(4, 0), (0, 5), (2, 5)]
+
+    def test_exact_text(self):
+        # the unit hexagon tiled by the path EN: T1 at (0, 0), then T2 at
+        # (1, -1) and T3 at (1, 0), each kind filled by the shade's colour
+        def drawing(t1, t2, t3):
+            lozenge = 'stroke="#000000" stroke-width="1.2" stroke-linejoin="round"/>\n'
+            return (
+                '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+                'viewBox="-9.000 -40.177 90.000 80.354">\n'
+                '  <polygon points="0.000,0.000 36.000,0.000 54.000,-31.177 18.000,-31.177" '
+                f'fill="{t1}" {lozenge}'
+                '  <polygon points="18.000,31.177 54.000,31.177 36.000,0.000 0.000,0.000" '
+                f'fill="{t2}" {lozenge}'
+                '  <polygon points="36.000,0.000 54.000,31.177 72.000,0.000 54.000,-31.177" '
+                f'fill="{t3}" {lozenge}'
+                '  <polygon points="0.000,0.000 18.000,-31.177 54.000,-31.177 72.000,0.000 '
+                '54.000,31.177 18.000,31.177" fill="none" stroke="#000000" stroke-width="2.6" '
+                'stroke-linejoin="round"/>\n'
+                "</svg>\n"
+            )
+
+        plain, light, dark = "#ffffff", "#d9d9d9", "#7a7a7a"
+        region = region_from_shape(HEXAGON)
+        tiling = lattice_path_to_tiling(HEXAGON, LatticePath((0, 0), "EN"))
+        svgs = {shade: render_svg(region, tiling, shade) for shade in ("a", "b", "both")}
+        assert svgs == {
+            "a": drawing(plain, light, light),
+            "b": drawing(dark, plain, dark),
+            "both": drawing(dark, light, dark),
+        }
+        assert [len(svg) for svg in svgs.values()] == [732] * 3
 
     def test_contour_only(self):
         region = region_from_shape(parse_shape("2,2"))
