@@ -36,10 +36,10 @@ _SUBMODULE = {
             "subpartitions",
         ),
         "tilings": (
-            "T1", "T2", "T3", "Lozenge", "Region", "RhombusPathFamily", "Tiling",
+            "T1", "T2", "T3", "Lozenge", "RhombusPathFamily", "Tiling",
             "Triangle", "TriPoint", "enumerate_tilings", "extract_family",
             "family_A_to_lattice_path", "family_B_to_z2_paths", "lattice_path_to_tiling",
-            "lozenge_corners", "lozenge_triangles", "region_from_shape", "render_svg",
+            "lozenge_corners", "lozenge_triangles", "render_svg",
         ),
     }.items()
     for name in names

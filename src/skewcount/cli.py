@@ -247,7 +247,7 @@ def cmd_render(args: argparse.Namespace) -> int:
         (tiling,) = found
     else:
         tiling = tilings.lattice_path_to_tiling(shape, LatticePath((0, 0), args.path))
-    svg = tilings.render_svg(tilings.region_from_shape(shape), tiling, args.shade)
+    svg = tilings.render_svg(shape, tiling, args.shade)
     try:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(svg)
@@ -269,10 +269,10 @@ class _Parser(argparse.ArgumentParser):
     """Hands usage errors to main as ShapeErrors, so they print its one line."""
 
     def error(self, message: str):
-        # argparse echoes the words it was given: each word is clipped, and so is
-        # the line, as `unrecognized arguments:` lists every extra word
+        # argparse echoes the words it was given: each word is clipped, and
+        # main clips the line, as `unrecognized arguments:` lists every extra word
         words = " ".join(map(clip, message.split(" ")))
-        raise ShapeError(clip(f"{self.prog}: {words}", 170))
+        raise ShapeError(f"{self.prog}: {words}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,11 +344,12 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
+    # a message may echo outside input whole, so its line is clipped here
     except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {clip(str(exc), 170)}", file=sys.stderr)
         return 3
     except ShapeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {clip(str(exc), 170)}", file=sys.stderr)
         return 2
 
 

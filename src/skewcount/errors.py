@@ -128,8 +128,10 @@ def check_depth(depth: int) -> None:
 # Sizes past which a route refuses a shape before it allocates for it. A region
 # costs about 330 B a lozenge, and at 200,000 lozenges `render --path` already
 # takes about 7 s and writes 34 MB; `dp` sweeps a row of width + 1 ints per row.
+# `det` and `gv_det` build n^2 matrix entries; `count` of 3,162 rows of 1 takes 3 s, 94 MB.
 MAX_REGION_LOZENGES = 200_000
 MAX_DP_CELLS = 10_000_000
+MAX_MATRIX_ENTRIES = 10_000_000
 
 
 def check_size(size: int, limit: int, unit: str) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, NamedTuple
 
-from .errors import InvariantError, take_leaves
+from .errors import MAX_MATRIX_ENTRIES, InvariantError, check_size, take_leaves
 from .exact import IntMatrix, det_exact
 from .paths import STEP_EAST, STEP_NORTH, LatticePath, Point, count_monotone
 from .shapes import SkewShape
@@ -54,6 +54,7 @@ def gv_endpoints(shape: SkewShape) -> GVConfig:
 def gv_matrix(config: GVConfig) -> IntMatrix:
     """Matrix of pairwise monotone path counts starts[i] -> ends[j]."""
     n = config.n
+    check_size(n * n, MAX_MATRIX_ENTRIES, "matrix entries")
     return IntMatrix(
         n,
         n,

@@ -12,7 +12,7 @@ O(n^2) expansion (`det_hessenberg`), not an O(n^3) elimination.
 
 from __future__ import annotations
 
-from .errors import InvariantError
+from .errors import MAX_MATRIX_ENTRIES, InvariantError, check_size
 from .exact import IntMatrix, binomial, det_hessenberg
 from .shapes import SkewShape
 
@@ -20,6 +20,7 @@ from .shapes import SkewShape
 def kreweras_matrix(shape: SkewShape) -> IntMatrix:
     """The n x n binomial matrix of the shape (0x0 when the shape is empty)."""
     n = shape.n
+    check_size(n * n, MAX_MATRIX_ENTRIES, "matrix entries")
     outer = shape.outer
     inner = shape.inner + (0,) * (n - len(shape.inner))
     entries = tuple(

@@ -102,12 +102,6 @@ def lozenge_corners(loz: Lozenge) -> tuple[TriPoint, TriPoint, TriPoint, TriPoin
     raise ValueError(f"unknown lozenge kind {loz.kind}")
 
 
-class Region(NamedTuple):
-    """A region's boundary polygon, closed implicitly: what :func:`render_svg` draws."""
-
-    boundary: tuple[TriPoint, ...]
-
-
 class Tiling(NamedTuple):
     lozenges: frozenset[Lozenge]
 
@@ -178,14 +172,13 @@ def region_lozenges(shape: SkewShape) -> int:
     return lozenges
 
 
-def region_from_shape(shape: SkewShape) -> Region:
-    """The tiling region of a shape, to draw: the inner profile, then the outer
-    profile pushed one unit along v, walked as a closed polygon. A shape of
-    more than ``MAX_REGION_LOZENGES`` lozenges is a ShapeError, raised before
-    the walk is built."""
+def _boundary(shape: SkewShape) -> tuple[TriPoint, ...]:
+    """The outline of the shape's region, to draw: the inner profile, then the
+    outer profile pushed one unit along v, walked as a closed polygon, behind
+    the size guard of :func:`region_lozenges`."""
     region_lozenges(shape)
     if shape.n == 0:
-        return Region(())
+        return ()
     # the inner and outer profiles: the paths whose north records are the lo and hi bounds
     los, his = zip(*shape.north_step_bounds())
     near = [TriPoint(x, y) for x, y in path_from_north_record(los, shape.width).vertices()]
@@ -195,7 +188,7 @@ def region_from_shape(shape: SkewShape) -> Region:
         raise InvariantError(
             f"boundary walk revisits a vertex for shape {format_shape(shape)}"
         )
-    return Region(walk)
+    return walk
 
 
 def walk_tilings(shape: SkewShape, visit: Callable[[list[int]], None]) -> None:
@@ -358,8 +351,8 @@ def lattice_path_to_tiling(shape: SkewShape, path: LatticePath) -> Tiling:
     Each E step at (a, b) lays Lozenge(T2, a+1, b-1), each N step
     Lozenge(T3, a, b); every other UP(a, b) of the region's rows keys a
     sheared cell, Lozenge(T1, a, b). Their :func:`lozenge_triangles` must
-    cover the rows' triangles once each. It builds no :class:`Region`, and
-    the row reader's size guard bounds it, since it does not recurse.
+    cover the rows' triangles once each. It reads the rows, not the outline,
+    and the row reader's size guard bounds it, since it does not recurse.
     """
     if not is_admissible(shape, path):  # wrong corners raise WrongEndpointsError
         raise NotAdmissibleError(
@@ -433,19 +426,20 @@ def _fmt_points(points: Iterator[TriPoint]) -> str:
     return " ".join(f"{x:.3f},{y:.3f}" for x, y in map(_cart, points))
 
 
-def render_svg(region: Region, tiling: Tiling | None = None, shade: str = "both") -> str:
-    """Deterministic SVG: the region contour, plus the tiling if given.
+def render_svg(shape: SkewShape, tiling: Tiling | None = None, shade: str = "both") -> str:
+    """Deterministic SVG: the contour of the shape's region, plus the tiling if given.
 
     shade "a" fills light gray the kinds a direction-a chain holds in
     _CHAIN_SIDES (the single path's), "b" fills dark gray those of direction
     b (the disjoint family's), "both" does both, b last, so dark wins on the
     kind the two share.
     """
+    boundary = _boundary(shape)
     if shade not in ("a", "b", "both"):
         raise ValueError(f"unknown shade option {shade!r}")
-    if not region.boundary:
+    if not boundary:
         return '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="0 0 1 1"/>\n'
-    corners = [_cart(p) for p in region.boundary]
+    corners = [_cart(p) for p in boundary]
     pad = 0.25 * _SCALE
     x0 = min(x for x, _ in corners) - pad
     y0 = min(y for _, y in corners) - pad
@@ -467,7 +461,7 @@ def render_svg(region: Region, tiling: Tiling | None = None, shade: str = "both"
                 'stroke-linejoin="round"/>'
             )
     lines.append(
-        f'  <polygon points="{_fmt_points(region.boundary)}" fill="none" '
+        f'  <polygon points="{_fmt_points(boundary)}" fill="none" '
         'stroke="#000000" stroke-width="2.6" stroke-linejoin="round"/>'
     )
     lines.append("</svg>")

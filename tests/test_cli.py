@@ -478,12 +478,12 @@ class TestRender:
         assert by_path.read_bytes() == by_index.read_bytes()
 
     def test_path_render_builds_one_region(self, capsys, monkeypatch, tmp_path):
-        # the bijection reads the rows, so the one Region is the one drawn
+        # the bijection reads the rows, so the one outline built is the one drawn
         import skewcount.tilings as tilings
 
         calls = []
-        build = tilings.region_from_shape
-        monkeypatch.setattr(tilings, "region_from_shape", lambda s: calls.append(s) or build(s))
+        build = tilings._boundary
+        monkeypatch.setattr(tilings, "_boundary", lambda s: calls.append(s) or build(s))
         code, _, _ = run(capsys, "render", "2,1", "--path", "NENE", "-o", str(tmp_path / "p.svg"))
         assert (code, len(calls)) == (0, 1)
 
@@ -508,7 +508,7 @@ class TestRender:
         def build(shape):
             pytest.fail("region built before the path was checked")
 
-        monkeypatch.setattr("skewcount.tilings.region_from_shape", build)
+        monkeypatch.setattr("skewcount.tilings._boundary", build)
         code, out, err = run(capsys, "render", "10000000", "--path", "E", "-o", str(tmp_path / "x.svg"))
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1
@@ -555,7 +555,7 @@ class TestMethodTable:
         # the tiling search reads its triangles off the shape, so it builds no
         # region, and numbers them, so it builds no triangle or lozenge either
         for target in ("skewcount.paths.path_from_north_record", "skewcount.tilings.Tiling",
-                       "skewcount.tilings.region_from_shape", "skewcount.tilings.Lozenge",
+                       "skewcount.tilings._boundary", "skewcount.tilings.Lozenge",
                        "skewcount.tilings.Triangle",
                        "skewcount.gv.PathFamily", "skewcount.gv.LatticePath"):
             monkeypatch.setattr(target, no_item)
@@ -692,6 +692,8 @@ class TestPastMaxsize:
 
 
 BOX_40 = ",".join(["40"] * 40)
+# one row past the matrix limit: 3,163^2 entries
+ONES_3163 = ",".join(["1"] * 3163)
 
 
 class TestDeepSearch:
@@ -726,10 +728,12 @@ class TestDeepSearch:
             pytest.param(("render", "200000", "--path", "N" + "E" * 200000), id="render-path"),
             pytest.param(("count", "10000000", "--method", "dp"), id="count-dp"),
             pytest.param(("enumerate", "10000000", "paths", "--limit", "1"), id="enumerate-paths"),
+            pytest.param(("count", ONES_3163), id="count-det"),
+            pytest.param(("count", ONES_3163, "--method", "gv_det"), id="count-gv_det"),
         ],
     )
     def test_past_a_size_guard_exits_2(self, capsys, tmp_path, argv):
-        # each shape is just past a limit: refused before its region or dp row is built
+        # each shape is just past a limit: refused before its region, dp row or matrix is built
         out_file = tmp_path / "x.svg"
         if argv[0] == "render":
             argv = (*argv, "-o", str(out_file))
@@ -750,7 +754,7 @@ class TestDeepSearch:
         def no_region(shape):
             raise AssertionError("built a region too deep to search")
 
-        monkeypatch.setattr("skewcount.tilings.region_from_shape", no_region)
+        monkeypatch.setattr("skewcount.tilings._boundary", no_region)
         out_file = tmp_path / "x.svg"
         if argv[0] == "render":
             argv = (*argv, "-o", str(out_file))
@@ -814,10 +818,32 @@ USAGE_ERRORS = [
     pytest.param(["count", "2,1", *["q" * 100] * 3000], id="many-long-words"),
 ]
 
-# bad partitions of 3,001 parts: (the shape text, the message its line gives)
+NINES = "9" * 4000  # an integer of 4,000 digits, which int() still reads
+
+# bad partitions of 3,001 parts or of 4,000-digit parts: (the shape text, the
+# message its line gives)
 LONG_SHAPES = {
     "rising-part": (",".join(["1"] * 3000 + ["2"]), "part 3001 (2) is larger than part 3000 (1)"),
     "inner-rows": ("3/" + ",".join(["1"] * 3000), "inner partition has 3000 rows, outer has 1"),
+    "rising-long-part": (f"1,{NINES}", "part 2 (999"),
+    "long-inner-part": (f"{NINES},1/{NINES},{NINES}", "row 2: inner part 999"),
+}
+
+# render inputs whose error line echoes a long text: (the argv, with the output
+# file's directory for "{dir}", and the message its line gives)
+LONG_ECHOES = {
+    "tiling-index": (["render", "2,1", "--tiling", NINES, "-o", "{dir}/x.svg"], "tiling index 999"),
+    "long-path": (
+        ["render", "3000/2999", "--path", "N" + "E" * 3000, "-o", "{dir}/x.svg"],
+        "path 'NEEE",
+    ),
+    "many-bad-steps": (
+        ["render", "2,1", "--path", "".join(map(chr, range(0x4E00, 0x4E00 + 3000))),
+         "-o", "{dir}/x.svg"],
+        "path steps must be E or N",
+    ),
+    "long-output": (["render", "2,1", "--tiling", "0", "-o", "{dir}/" + "d" * 5000 + "/x.svg"],
+                    "cannot write"),
 }
 
 
@@ -861,7 +887,9 @@ class TestIntegerFlags:
         assert err.startswith(bad_integer_line("SKEWCOUNT_CAP", raw))
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("raw", [*BAD_INTEGERS, "-1"])
+    @pytest.mark.parametrize(
+        "raw", [*BAD_INTEGERS, "-1", pytest.param("-" + NINES, id="-4000-digits")]
+    )
     @pytest.mark.parametrize("point", INPUT_POINTS)
     def test_every_input_point(self, capsys, monkeypatch, tmp_path, point, raw):
         name, argv, in_env = INPUT_POINTS[point]
@@ -884,6 +912,13 @@ class TestIntegerFlags:
     def test_long_shape_error_is_short(self, capsys, case):
         text, name = LONG_SHAPES[case]
         assert_one_error_line(*run(capsys, "count", text), name=name)
+
+    @pytest.mark.parametrize("case", LONG_ECHOES)
+    def test_long_echo_is_clipped(self, capsys, tmp_path, case):
+        argv, name = LONG_ECHOES[case]
+        argv = [word.replace("{dir}", str(tmp_path)) for word in argv]
+        assert_one_error_line(*run(capsys, *argv), name=name)
+        assert not (tmp_path / "x.svg").exists()
 
     def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -10,9 +10,11 @@ from skewcount.errors import (
     count_leaves,
     take_leaves,
 )
+from skewcount.gv import gv_endpoints, gv_matrix
+from skewcount.kreweras import kreweras_matrix
 from skewcount.paths import count_paths_dp
 from skewcount.shapes import SkewShape
-from skewcount.tilings import region_from_shape
+from skewcount.tilings import render_svg
 
 
 def counting(n):
@@ -84,11 +86,16 @@ def test_cap_error_survives_pickling():
 
 
 @pytest.mark.parametrize(
-    "build, width",
-    [(region_from_shape, 200_000), (count_paths_dp, 10_000_000)],
-    ids=["region", "dp"],
+    "build, outer",
+    [
+        (render_svg, (200_000,)),
+        (count_paths_dp, (10_000_000,)),
+        (kreweras_matrix, (1,) * 3163),
+        (lambda shape: gv_matrix(gv_endpoints(shape)), (1,) * 3163),
+    ],
+    ids=["region", "dp", "det", "gv_det"],
 )
-def test_one_row_past_a_size_guard_is_a_shape_error(build, width):
+def test_one_row_past_a_size_guard_is_a_shape_error(build, outer):
     with pytest.raises(ShapeError, match="^shape too large: ") as exc:
-        build(SkewShape((width,)))
+        build(SkewShape(outer))
     assert "\n" not in str(exc.value)

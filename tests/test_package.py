@@ -15,7 +15,6 @@ from skewcount import (
     kreweras_matrix,
     lattice_path_to_tiling,
     parse_shape,
-    region_from_shape,
 )
 
 
@@ -64,7 +63,6 @@ VALUES = {
     "LatticePath": (LatticePath((0, 0), "NENE"), "steps"),
     "IntMatrix": (kreweras_matrix(SHAPE), "entries"),
     "GVConfig": (gv_endpoints(SHAPE), "starts"),
-    "Region": (region_from_shape(SHAPE), "boundary"),
     "Tiling": (TILING, "lozenges"),
     "PathFamily": (enumerate_disjoint_families(gv_endpoints(SHAPE))[0], "paths"),
     "RhombusPathFamily": (extract_family(TILING, "b"), "direction"),

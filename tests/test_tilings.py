@@ -28,12 +28,12 @@ from skewcount.tilings import (
     T2,
     T3,
     Lozenge,
-    Region,
     RhombusPathFamily,
     Tiling,
     Triangle,
     TriPoint,
     _CHAIN_SIDES,
+    _boundary,
     _row_spans,
     _side_keys,
     enumerate_tilings,
@@ -43,7 +43,6 @@ from skewcount.tilings import (
     lattice_path_to_tiling,
     lozenge_corners,
     lozenge_triangles,
-    region_from_shape,
     render_svg,
     tiling_listing,
     triangle_vertices,
@@ -108,7 +107,7 @@ def interior_triangles(shape):
 
 def region_triangles(shape):
     """The region's triangles by the ray cast of its boundary alone."""
-    return ray_cast_triangles(region_from_shape(shape).boundary)
+    return ray_cast_triangles(_boundary(shape))
 
 
 def up_down_counts(triangles):
@@ -202,8 +201,7 @@ class TestGeometry:
 
 class TestRegion:
     def test_unit_hexagon(self):
-        region = region_from_shape(HEXAGON)
-        assert region.boundary == (
+        assert _boundary(HEXAGON) == (
             TriPoint(0, 0), TriPoint(0, 1), TriPoint(1, 1),
             TriPoint(2, 0), TriPoint(2, -1), TriPoint(1, -1),
         )
@@ -212,8 +210,7 @@ class TestRegion:
         assert up_down_counts(triangles) == (3, 3)
 
     def test_square_shape_hexagon(self):
-        region = region_from_shape(parse_shape("2,2"))
-        assert region.boundary == (
+        assert _boundary(parse_shape("2,2")) == (
             TriPoint(0, 0), TriPoint(0, 1), TriPoint(0, 2),
             TriPoint(1, 2), TriPoint(2, 2),
             TriPoint(3, 1), TriPoint(3, 0), TriPoint(3, -1),
@@ -223,7 +220,7 @@ class TestRegion:
 
     def test_empty_shape(self):
         shape = parse_shape("0")
-        assert region_from_shape(shape) == Region(())
+        assert _boundary(shape) == ()
         assert interior_triangles(shape) == []
 
     def test_triangle_count_formula(self):
@@ -265,7 +262,7 @@ class TestRegion:
         assert expected == 20500
         assert up_down_counts(interior_triangles(shape)) == (expected, expected)
         # the outline walks both profiles, n + width + 1 vertices each
-        assert len(region_from_shape(shape).boundary) == 2 * (shape.n + shape.width + 1)
+        assert len(_boundary(shape)) == 2 * (shape.n + shape.width + 1)
 
 
 class TestEnumerateTilings:
@@ -344,11 +341,11 @@ class TestEnumerateTilings:
 
     def test_too_deep_is_refused_at_the_call(self, monkeypatch):
         # 1,201 lozenges, past the default recursion limit of 1,000: the walk
-        # and the listing refuse it before they read a row or build a region
+        # and the listing refuse it before they read a row or build an outline
         def no_rows(shape):
             raise AssertionError("read rows too deep to search")
 
-        monkeypatch.setattr("skewcount.tilings.region_from_shape", no_rows)
+        monkeypatch.setattr("skewcount.tilings._boundary", no_rows)
         monkeypatch.setattr("skewcount.tilings._row_spans", no_rows)
         with pytest.raises(ShapeError, match="deeper than Python's recursion limit"):
             walk_tilings(SkewShape((600,)), print)
@@ -459,9 +456,9 @@ class TestPathBijection:
     def test_builds_no_region(self, monkeypatch):
         # the bijection reads the region's rows; it needs no outline
         def no_region(shape):
-            raise AssertionError("built a Region")
+            raise AssertionError("built an outline")
 
-        monkeypatch.setattr("skewcount.tilings.region_from_shape", no_region)
+        monkeypatch.setattr("skewcount.tilings._boundary", no_region)
         for shape in sweep(3, 3):
             images = [lattice_path_to_tiling(shape, p) for p in enumerate_paths(shape)]
             tilings = enumerate_tilings(shape)
@@ -582,14 +579,12 @@ class TestMalformedFamilies:
 class TestRenderSvg:
     def test_deterministic(self):
         shape = parse_shape("2,1")
-        region = region_from_shape(shape)
         tiling = enumerate_tilings(shape)[0]
-        assert render_svg(region, tiling) == render_svg(region, tiling)
+        assert render_svg(shape, tiling) == render_svg(shape, tiling)
 
     def test_structure(self):
-        region = region_from_shape(HEXAGON)
         tiling = enumerate_tilings(HEXAGON)[0]
-        svg = render_svg(region, tiling, "both")
+        svg = render_svg(HEXAGON, tiling, "both")
         assert svg.startswith("<svg ")
         assert svg.rstrip().endswith("</svg>")
         # one polygon per lozenge plus the contour
@@ -605,16 +600,15 @@ class TestRenderSvg:
         # T2/T3 of the path's chain, "b" darkens the T1/T3 of the family's
         # chains, "both" does both with dark on T3
         for shape in sweep(2, 3):
-            region = region_from_shape(shape)
             m, width, n = shape.m, shape.width, shape.n
             for tiling in enumerate_tilings(shape):
-                assert self.fills(render_svg(region, tiling, "a")) == (width + n, 0)
-                assert self.fills(render_svg(region, tiling, "b")) == (0, m + n)
-                assert self.fills(render_svg(region, tiling, "both")) == (width, m + n)
+                assert self.fills(render_svg(shape, tiling, "a")) == (width + n, 0)
+                assert self.fills(render_svg(shape, tiling, "b")) == (0, m + n)
+                assert self.fills(render_svg(shape, tiling, "both")) == (width, m + n)
         # the same in numbers: 2,1 has m = 3, width = 2, n = 2
         shape = parse_shape("2,1")
         tiling = lattice_path_to_tiling(shape, LatticePath((0, 0), "NENE"))
-        svgs = [render_svg(region_from_shape(shape), tiling, s) for s in ("a", "b", "both")]
+        svgs = [render_svg(shape, tiling, s) for s in ("a", "b", "both")]
         assert [self.fills(svg) for svg in svgs] == [(4, 0), (0, 5), (2, 5)]
 
     def test_exact_text(self):
@@ -638,9 +632,8 @@ class TestRenderSvg:
             )
 
         plain, light, dark = "#ffffff", "#d9d9d9", "#7a7a7a"
-        region = region_from_shape(HEXAGON)
         tiling = lattice_path_to_tiling(HEXAGON, LatticePath((0, 0), "EN"))
-        svgs = {shade: render_svg(region, tiling, shade) for shade in ("a", "b", "both")}
+        svgs = {shade: render_svg(HEXAGON, tiling, shade) for shade in ("a", "b", "both")}
         assert svgs == {
             "a": drawing(plain, light, light),
             "b": drawing(dark, plain, dark),
@@ -649,14 +642,13 @@ class TestRenderSvg:
         assert [len(svg) for svg in svgs.values()] == [732] * 3
 
     def test_contour_only(self):
-        region = region_from_shape(parse_shape("2,2"))
-        svg = render_svg(region)
+        svg = render_svg(parse_shape("2,2"))
         assert svg.count("<polygon") == 1
 
     def test_empty_region(self):
-        svg = render_svg(Region(()))
+        svg = render_svg(parse_shape("0"))
         assert svg.startswith("<svg ") and svg.endswith("/>\n")
 
     def test_bad_shade(self):
         with pytest.raises(ValueError):
-            render_svg(region_from_shape(HEXAGON), None, "c")
+            render_svg(HEXAGON, None, "c")
