@@ -13,7 +13,7 @@ import time
 from functools import partial
 from importlib import import_module
 
-from .errors import CapExceededError, InvariantError, ShapeError, count_leaves, take_leaves
+from .errors import CapExceededError, ShapeError, count_leaves, take_leaves
 from .kreweras import kreweras_count
 from .paths import LatticePath, count_paths_dp, path_listing, walk_paths
 from .shapes import (
@@ -229,22 +229,16 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_render(args: argparse.Namespace) -> int:
     tilings = _load("tilings")
     shape = parse_shape(args.shape)
-    # the cap is read even where it is not used, so a bad one exits 2 on either
-    # branch; each branch checks its input before it builds the region, so a
+    # the cap is read though neither branch searches, so a bad one exits 2 on
+    # either; each branch checks its input before it builds the region, so a
     # bad index or path on a large shape exits 2 without allocating one
-    cap = _resolve_cap(args)
+    _resolve_cap(args)
     if args.tiling is not None:
         index = parse_integer(args.tiling, "--tiling", 0)
         total = count_paths_dp(shape)
         if index >= total:
             raise ShapeError(f"tiling index {index} outside 0..{total - 1}")
-        # walking to leaf index meets the cap exactly when index >= cap
-        if index >= cap:
-            raise CapExceededError(cap)
-        found = take_leaves(*tilings.tiling_listing(shape), cap, index + 1, index)
-        if not found:
-            raise InvariantError(f"tiling search ended before index {index} of {total}")
-        (tiling,) = found
+        tiling = tilings.tiling_at(shape, index)
     else:
         tiling = tilings.lattice_path_to_tiling(shape, LatticePath((0, 0), args.path))
     svg = tilings.render_svg(shape, tiling, args.shade)

@@ -87,25 +87,19 @@ def take_leaves(
     build: Callable,
     cap: int | None,
     stop: int | None = None,
-    start: int = 0,
 ) -> list:
-    """``build(leaf)`` for the walk's leaves start, ..., stop - 1, in walk order.
+    """``build(leaf)`` for the walk's leaves 0, ..., stop - 1, in walk order.
 
     The walk ends at leaf stop - 1 (``None``: at its own end), so no leaf past
     it is searched for, and leaf cap + 1 raises CapExceededError in its place.
-    Leaves before ``start`` are counted and not built.
     """
     items = []
-    seen = 0
 
     def visit(leaf) -> None:
-        nonlocal seen
-        if seen == cap:
+        if len(items) == cap:
             raise CapExceededError(cap)
-        if seen >= start:
-            items.append(build(leaf))
-        seen += 1
-        if seen == stop:
+        items.append(build(leaf))
+        if len(items) == stop:
             raise _Enough
 
     drive(walk, visit)

@@ -138,13 +138,18 @@ def enumerate_paths(shape: SkewShape, cap: int | None = None) -> list[LatticePat
     return take_leaves(*path_listing(shape), cap)
 
 
+def check_dp_cells(shape: SkewShape) -> None:
+    """A shape of more than ``MAX_DP_CELLS`` cells n * (width + 1) is a ShapeError."""
+    check_size(shape.n * (shape.width + 1), MAX_DP_CELLS, "dp cells")
+
+
 def count_paths_dp(shape: SkewShape) -> int:
     """Number of admissible paths, by a row-by-row prefix-sum recurrence.
 
     Runs in O(n * width) time and never enumerates paths, so it has no cap;
-    a shape of more than ``MAX_DP_CELLS`` cells n * (width + 1) is a ShapeError.
+    past :func:`check_dp_cells` it refuses the shape.
     """
-    check_size(shape.n * (shape.width + 1), MAX_DP_CELLS, "dp cells")
+    check_dp_cells(shape)
     bounds = shape.north_step_bounds()
     if not bounds:
         return 1

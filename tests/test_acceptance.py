@@ -28,7 +28,7 @@ from skewcount.tilings import (
 )
 from test_gv import is_vertex_disjoint
 from test_kreweras import remove_empty_rows
-from test_tilings import interior_triangles, type_census, up_down_counts
+from test_tilings import colex_paths, interior_triangles, type_census, up_down_counts
 
 BIG_FIXTURE = parse_shape("9,7,6,2/3,1")
 BIG_FIXTURE_COUNT = 399  # pinned after first computation
@@ -183,3 +183,21 @@ def test_10_big_fixture_regression():
     with criterion(10, "pinned regression value for the 9,7,6,2/3,1 fixture"):
         assert kreweras_count(BIG_FIXTURE) == BIG_FIXTURE_COUNT
         assert count_paths_dp(BIG_FIXTURE) == BIG_FIXTURE_COUNT
+
+
+def test_11_tiling_search_order():
+    with criterion(11, "tiling k is the tiling of path N-1-k over the 4x4 sweep"):
+        for shape in box_shapes(4, 4):
+            paths = enumerate_paths(shape)
+            assert enumerate_tilings(shape) == [
+                lattice_path_to_tiling(shape, p) for p in reversed(paths)
+            ]
+
+
+def test_12_family_search_order():
+    with criterion(12, "family k is the b family of colex path k over the 3x3 sweep"):
+        for shape in box_shapes(3, 3):
+            assert enumerate_disjoint_families(gv_endpoints(shape)) == [
+                family_B_to_z2_paths(extract_family(lattice_path_to_tiling(shape, p), "b"), shape)
+                for p in colex_paths(shape)
+            ]

@@ -471,11 +471,24 @@ class TestRender:
         run(capsys, "render", "2,1", "--tiling", "1", "-o", str(b))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_path_render_matches_tiling_render(self, capsys, tmp_path):
-        by_path, by_index = tmp_path / "p.svg", tmp_path / "i.svg"
-        run(capsys, "render", "1", "--path", "EN", "-o", str(by_path))
-        run(capsys, "render", "1", "--tiling", "0", "-o", str(by_index))
-        assert by_path.read_bytes() == by_index.read_bytes()
+    def test_tiling_index_draws_the_searchs_tiling(self, capsys, tmp_path):
+        # render reads tiling I off a path, never off the search, so the search
+        # is the oracle for every index of every 3x3-box shape
+        from skewcount.shapes import SkewShape, format_shape, partitions_in_box, subpartitions
+        from skewcount.tilings import enumerate_tilings, render_svg
+
+        out_file = tmp_path / "t.svg"
+        for lam in partitions_in_box(3, 3):
+            for mu in subpartitions(lam):
+                shape = SkewShape(lam, mu)
+                for index, tiling in enumerate(enumerate_tilings(shape)):
+                    for shade in ("a", "b", "both"):
+                        code, _, _ = run(capsys, "render", format_shape(shape),
+                                         "--tiling", str(index), "--shade", shade,
+                                         "-o", str(out_file))
+                        assert code == 0
+                        expected = render_svg(shape, tiling, shade).encode()
+                        assert out_file.read_bytes() == expected, (shape, index, shade)
 
     def test_path_render_builds_one_region(self, capsys, monkeypatch, tmp_path):
         # the bijection reads the rows, so the one outline built is the one drawn
@@ -640,9 +653,12 @@ class TestStreaming:
         assert out_file.read_text().startswith("<svg ")
 
     def test_render_index_past_cap(self, capsys, tmp_path):
-        code, _, _ = run(capsys, "render", "2,1", "--tiling", "4", "--cap", "4",
-                         "-o", str(tmp_path / "x.svg"))
-        assert code == 3
+        # render walks no search, so the cap is read and never met
+        out_file = tmp_path / "x.svg"
+        code, _, err = run(capsys, "render", "2,1", "--tiling", "4", "--cap", "4",
+                           "-o", str(out_file))
+        assert (code, err) == (0, "")
+        assert out_file.read_text().startswith("<svg ")
 
     def test_render_out_of_range_names_the_total(self, capsys, tmp_path):
         code, _, err = run(capsys, "render", "2,1", "--tiling", "5", "-o", str(tmp_path / "x.svg"))
@@ -650,10 +666,10 @@ class TestStreaming:
         assert err == "error: tiling index 5 outside 0..4\n"
 
     def test_render_out_of_range_never_draws(self, capsys, monkeypatch, tmp_path):
-        def no_search(shape, visit):
+        def no_draw(shape, index):
             raise AssertionError("drew a tiling for an index out of range")
 
-        monkeypatch.setattr("skewcount.tilings.walk_tilings", no_search)
+        monkeypatch.setattr("skewcount.tilings.tiling_at", no_draw)
         code, _, err = run(capsys, "render", "2,1", "--tiling", "5", "-o", str(tmp_path / "x.svg"))
         assert (code, err) == (2, "error: tiling index 5 outside 0..4\n")
 
@@ -683,12 +699,12 @@ class TestPastMaxsize:
         assert err == f"error: tiling index {BIG} outside 0..4\n"
 
     def test_tiling_index_past_the_cap(self, capsys, tmp_path):
-        # C(80, 40) tilings, so the index is in range; the cap is met before any draw
+        # C(80, 40) tilings, so the index is in range; no search runs, so no cap is met
         shape = ",".join(["40"] * 40)
         out_file = tmp_path / "x.svg"
         code, _, err = run(capsys, "render", shape, "--tiling", BIG, "--cap", "1", "-o", str(out_file))
-        assert (code, err) == (3, "error: enumeration exceeded cap of 1 items\n")
-        assert not out_file.exists()
+        assert (code, err) == (0, "")
+        assert out_file.read_text().startswith("<svg ")
 
 
 BOX_40 = ",".join(["40"] * 40)
@@ -706,19 +722,33 @@ class TestDeepSearch:
             pytest.param(("enumerate", BOX_40, "tilings", "--limit", "1"), id="enumerate-tilings"),
             pytest.param(("enumerate", BOX_40, "families", "--limit", "1"), id="enumerate-families"),
             pytest.param(("count", BOX_40, "--method", "tilings"), id="count-tilings"),
-            pytest.param(("render", BOX_40, "--tiling", "0"), id="render-tiling"),
             pytest.param(("enumerate", ",".join(["1"] * 1200), "paths", "--limit", "1"),
                          id="enumerate-paths"),
         ],
     )
-    def test_too_deep_exits_2(self, capsys, tmp_path, argv):
-        out_file = tmp_path / "x.svg"
-        if argv[0] == "render":
-            argv = (*argv, "-o", str(out_file))
+    def test_too_deep_exits_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: shape too large to search") and err.count("\n") == 1
-        assert not out_file.exists()
+
+    def test_too_deep_to_search_still_draws(self, capsys, tmp_path):
+        # render reads the tiling off a path, so a region no search could walk draws
+        out_file = tmp_path / "x.svg"
+        code, out, err = run(capsys, "render", BOX_40, "--tiling", "0", "-o", str(out_file))
+        assert (code, out, err) == (0, "", "")
+        assert out_file.read_text().startswith("<svg ")
+
+    def test_too_deep_to_search_walks_no_search(self, capsys, monkeypatch, tmp_path):
+        # neither the tiling search nor its depth refusal is reached on the way
+        def no_search(*args):
+            raise AssertionError("reached the tiling search to draw a tiling")
+
+        monkeypatch.setattr("skewcount.tilings.walk_tilings", no_search)
+        monkeypatch.setattr("skewcount.tilings.tiling_listing", no_search)
+        out_file = tmp_path / "x.svg"
+        code, out, err = run(capsys, "render", BOX_40, "--tiling", "0", "-o", str(out_file))
+        assert (code, out, err) == (0, "", "")
+        assert out_file.read_text().startswith("<svg ")
 
     @pytest.mark.parametrize(
         "argv",
@@ -744,25 +774,18 @@ class TestDeepSearch:
 
     @pytest.mark.parametrize(
         "argv",
-        [
-            pytest.param(("count", "99999", "--method", "tilings"), id="count-tilings"),
-            pytest.param(("render", BOX_40, "--tiling", "0"), id="render-tiling"),
-        ],
+        [pytest.param(("count", "99999", "--method", "tilings"), id="count-tilings")],
     )
-    def test_too_deep_region_is_never_built(self, capsys, monkeypatch, tmp_path, argv):
+    def test_too_deep_region_is_never_built(self, capsys, monkeypatch, argv):
         # the shape alone gives the region's m + width + n lozenges
         def no_region(shape):
             raise AssertionError("built a region too deep to search")
 
         monkeypatch.setattr("skewcount.tilings._boundary", no_region)
-        out_file = tmp_path / "x.svg"
-        if argv[0] == "render":
-            argv = (*argv, "-o", str(out_file))
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: shape too large to search: deeper than Python's recursion limit")
         assert err.count("\n") == 1
-        assert not out_file.exists()
 
     def test_thirty_rows_of_thirty_still_search(self):
         # a fresh interpreter: pytest's own frames would eat into the limit

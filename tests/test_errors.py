@@ -57,10 +57,6 @@ class TestCapped:
         walk, visited = counting(100)
         assert take_leaves(walk, str, cap, 2) == ["0", "1"]
         assert visited == [0, 1]
-        # leaves before start are walked and not built
-        walk, visited = counting(100)
-        assert take_leaves(walk, str, None, 3, 2) == ["2"]
-        assert visited == [0, 1, 2]
 
     def test_too_deep_search_is_a_shape_error(self):
         def deep(visit):

@@ -1,3 +1,4 @@
+import math
 import random
 from functools import partial
 
@@ -14,7 +15,7 @@ from skewcount.errors import (
 )
 from skewcount.gv import enumerate_disjoint_families, gv_endpoints
 from skewcount.kreweras import kreweras_count
-from skewcount.paths import LatticePath, enumerate_paths, path_from_north_record
+from skewcount.paths import LatticePath, count_paths_dp, enumerate_paths, path_from_north_record
 from skewcount.shapes import (
     Partition,
     SkewShape,
@@ -44,6 +45,7 @@ from skewcount.tilings import (
     lozenge_corners,
     lozenge_triangles,
     render_svg,
+    tiling_at,
     tiling_listing,
     triangle_vertices,
     walk_tilings,
@@ -64,6 +66,15 @@ def sweep(rows, cols):
     for lam in partitions_in_box(rows, cols):
         for mu in subpartitions(lam):
             yield SkewShape(Partition(lam), Partition(mu))
+
+
+def colex_paths(shape):
+    """The shape's paths in lexicographic order of the reversed north record."""
+    return sorted(enumerate_paths(shape), key=lambda p: p.north_xs()[::-1])
+
+
+# shapes small enough to list every tiling of
+small_shapes = skew_shapes(max_rows=8, max_width=8).filter(lambda s: count_paths_dp(s) <= 3000)
 
 
 def ray_cast_triangles(boundary):
@@ -351,6 +362,74 @@ class TestEnumerateTilings:
             walk_tilings(SkewShape((600,)), print)
         with pytest.raises(ShapeError, match="deeper than Python's recursion limit"):
             tiling_listing(SkewShape((600,)))
+
+
+class TestTilingAt:
+    def test_matches_the_search_on_3x3_box(self):
+        for shape in sweep(3, 3):
+            tilings = enumerate_tilings(shape)
+            assert [tiling_at(shape, i) for i in range(len(tilings))] == tilings, shape
+
+    @given(small_shapes)
+    @example(parse_shape("2,1/2,1"))
+    @example(parse_shape("8,8,8,8,8,8/3,3,1"))
+    def test_matches_the_search_on_random_shapes(self, shape):
+        tilings = enumerate_tilings(shape)
+        assert [tiling_at(shape, i) for i in range(len(tilings))] == tilings
+
+    def test_empty_region(self):
+        assert tiling_at(parse_shape("0"), 0) == Tiling(frozenset())
+
+    @pytest.mark.parametrize("index", [-1, 5, 10**20])
+    def test_index_out_of_range(self, index):
+        # raised, not asserted, so it holds under python -O too
+        with pytest.raises(ShapeError, match=f"^tiling index {index} outside 0..4$"):
+            tiling_at(parse_shape("2,1"), index)
+
+    @pytest.mark.parametrize(
+        "shape, unit",
+        [
+            (SkewShape((200_000,)), "region lozenges"),
+            # a band three cells wide, 49,999 rows: 199,997 lozenges, but its
+            # table's ints grow with the rows, and the dp guard refuses it
+            (SkewShape(range(50_000, 1, -1), range(49_998, -1, -1)), "dp cells"),
+        ],
+        ids=["wide-row", "long-band"],
+    )
+    def test_past_a_size_guard_builds_no_table(self, monkeypatch, shape, unit):
+        def no_bounds(self):
+            raise AssertionError("read the bounds of a shape past a size guard")
+
+        monkeypatch.setattr(SkewShape, "north_step_bounds", no_bounds)
+        with pytest.raises(ShapeError, match=f"^shape too large: .* {unit}, past"):
+            tiling_at(shape, 0)
+
+    def test_far_index_of_a_large_box(self):
+        # 40 rows of 40: C(80, 40) tilings, a region past the recursion
+        # limit that no search could walk
+        shape = SkewShape((40,) * 40)
+        total = math.comb(80, 40)
+        first, last = tiling_at(shape, 0), tiling_at(shape, total - 1)
+        # tiling 0 is the path along the outer profile, the last along the inner one
+        assert family_A_to_lattice_path(extract_family(first, "a")).steps == "E" * 40 + "N" * 40
+        assert family_A_to_lattice_path(extract_family(last, "a")).steps == "N" * 40 + "E" * 40
+
+
+class TestSearchOrders:
+    """The three searches list their items in the orders the bijections fix."""
+
+    @given(small_shapes)
+    def test_tilings_run_the_paths_backwards(self, shape):
+        paths = enumerate_paths(shape)
+        assert enumerate_tilings(shape) == [lattice_path_to_tiling(shape, p) for p in reversed(paths)]
+
+    @given(skew_shapes(max_rows=5, max_width=6).filter(lambda s: count_paths_dp(s) <= 500))
+    @example(parse_shape("4,4,3,1/2"))
+    def test_families_follow_the_paths_in_colex_order(self, shape):
+        assert enumerate_disjoint_families(gv_endpoints(shape)) == [
+            family_B_to_z2_paths(extract_family(lattice_path_to_tiling(shape, p), "b"), shape)
+            for p in colex_paths(shape)
+        ]
 
 
 class TestCensus:
