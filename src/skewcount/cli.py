@@ -13,7 +13,7 @@ import time
 from functools import partial
 from importlib import import_module
 
-from .errors import CapExceededError, ShapeError, count_leaves, take_leaves
+from .errors import CapExceededError, InvariantError, ShapeError, count_leaves, take_leaves
 from .kreweras import kreweras_count
 from .paths import LatticePath, count_paths_dp, path_listing, walk_paths
 from .shapes import (
@@ -128,14 +128,20 @@ def _sweep_size(rows: int, cols: int, cap: int) -> int:
 
 def _box_sweep(rows: int, cols: int, cap: int) -> list[SkewShape]:
     """Every outer partition in the box with every inner one it contains,
-    or CapExceededError before any is built if there are more than cap."""
-    if _sweep_size(rows, cols, cap) > cap:
+    or CapExceededError before any is built if there are more than cap. A
+    list that is not :func:`_sweep_size` long, whose every shape would still
+    agree, is an InvariantError."""
+    size = _sweep_size(rows, cols, cap)
+    if size > cap:
         raise CapExceededError(cap)
-    return [
+    shapes = [
         SkewShape(lam, mu)
         for lam in partitions_in_box(rows, cols)
         for mu in subpartitions(lam)
     ]
+    if len(shapes) != size:
+        raise InvariantError(f"{rows}x{cols} box swept {len(shapes)} shapes, not MacMahon's {size}")
+    return shapes
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -234,11 +240,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     # bad index or path on a large shape exits 2 without allocating one
     _resolve_cap(args)
     if args.tiling is not None:
-        index = parse_integer(args.tiling, "--tiling", 0)
-        total = count_paths_dp(shape)
-        if index >= total:
-            raise ShapeError(f"tiling index {index} outside 0..{total - 1}")
-        tiling = tilings.tiling_at(shape, index)
+        tiling = tilings.tiling_at(shape, parse_integer(args.tiling, "--tiling", 0))
     else:
         tiling = tilings.lattice_path_to_tiling(shape, LatticePath((0, 0), args.path))
     svg = tilings.render_svg(shape, tiling, args.shade)

@@ -9,7 +9,7 @@ increasing sequence of x-coordinates of its north steps, read bottom-up.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import MAX_DP_CELLS, ShapeError, WrongEndpointsError, check_size, take_leaves
 from .exact import binomial
@@ -143,38 +143,42 @@ def check_dp_cells(shape: SkewShape) -> None:
     check_size(shape.n * (shape.width + 1), MAX_DP_CELLS, "dp cells")
 
 
-def count_paths_dp(shape: SkewShape) -> int:
-    """Number of admissible paths, by a row-by-row prefix-sum recurrence.
-
-    Runs in O(n * width) time and never enumerates paths, so it has no cap;
-    past :func:`check_dp_cells` it refuses the shape.
-    """
+def suffix_counts(shape: SkewShape) -> Iterator[list[int]]:
+    """Row k of the shape's table, top row first: ``tail[j]`` counts the ends
+    c_k <= ... <= c_(n-1) of an admissible north record with c_k >= lo_k + j,
+    one addition for each of the m + n cells of the rows' spans. The shape is
+    refused past :func:`check_dp_cells` at the call, before a row is read."""
     check_dp_cells(shape)
-    bounds = shape.north_step_bounds()
-    if not bounds:
-        return 1
-    width = shape.width
-    # counts[x] = number of valid prefixes whose last north step is at x
-    counts = [0] * (width + 1)
-    lo, hi = bounds[0]
-    for x in range(lo, hi + 1):
-        counts[x] = 1
-    for lo, hi in bounds[1:]:
-        acc = 0
-        nxt = [0] * (width + 1)
-        for x in range(width + 1):
-            acc += counts[x]
-            if lo <= x <= hi:
-                nxt[x] = acc
-        counts = nxt
-    return sum(counts)
+
+    def rows() -> Iterator[list[int]]:
+        above, above_lo = [1], shape.width  # the one empty end past the top row
+        for lo, hi in reversed(shape.north_step_bounds()):
+            # the ends above that may follow c_k = lo + j, those with
+            # c_(k+1) >= max(lo + j, above_lo): bounds rise with k
+            follow = ([above[0]] * (above_lo - lo) + above)[: hi - lo + 1]
+            tail, ends = [], 0
+            for start in reversed(follow):
+                ends += start
+                tail.append(ends)
+            tail.reverse()
+            yield tail
+            above, above_lo = tail, lo
+
+    return rows()
+
+
+def count_paths_dp(shape: SkewShape) -> int:
+    """Number of admissible paths: the first entry of :func:`suffix_counts`'s
+    bottom row, in O(m + n) additions with two rows held at a time. It never
+    enumerates paths, so it has no cap; past :func:`check_dp_cells` it refuses
+    the shape."""
+    tail = [1]  # the one path of a shape with no rows
+    for tail in suffix_counts(shape):
+        pass
+    return tail[0]
 
 
 def count_monotone(a: Point, b: Point) -> int:
-    """Number of monotone E/N paths from a to b (0 if b is unreachable)."""
-    dx = b[0] - a[0]
-    dy = b[1] - a[1]
-    if dx < 0 or dy < 0:
-        return 0
+    """Number of monotone E/N paths from a to b (``binomial`` gives 0 if b is unreachable)."""
+    dx, dy = b[0] - a[0], b[1] - a[1]
     return binomial(dx + dy, dy)
-

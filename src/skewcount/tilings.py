@@ -45,7 +45,7 @@ from .errors import (
     take_leaves,
 )
 from .paths import (
-    STEP_EAST, STEP_NORTH, LatticePath, check_dp_cells, is_admissible, path_from_north_record,
+    STEP_EAST, STEP_NORTH, LatticePath, is_admissible, path_from_north_record, suffix_counts,
 )
 from .shapes import SkewShape, format_shape
 
@@ -280,30 +280,21 @@ def tiling_at(shape: SkewShape, index: int) -> Tiling:
     of path N - 1 - index in :func:`~skewcount.paths.walk_paths`'s order, as
     :func:`walk_tilings` shows. An index outside 0..N-1 is a ShapeError.
 
-    ``tails[k][j]`` counts the ends c_k <= ... <= c_(n-1) of an admissible
-    north record with c_k >= lo_k + j: m + n ints over the rows' spans. Their
-    digits grow with the rows, so the dp guard bounds the table beside the
-    region's: a band three cells wide, which the region guard admits to 49,999
-    rows, holds 74 MB of table at 16,000 rows, four times the 19 MB at 8,000.
+    It unranks from :func:`~skewcount.paths.suffix_counts`, the table ``dp``
+    counts from, kept whole. Its ints grow with the rows, so the dp guard, run
+    first as ``dp`` runs it, bounds the table beside the region guard: a band
+    three cells wide, which the region guard admits to 49,999 rows, holds
+    74 MB of table at 16,000 rows.
     """
+    rows = suffix_counts(shape)  # the dp guard, at the call
     region_lozenges(shape)
-    check_dp_cells(shape)
-    bounds = shape.north_step_bounds()
-    tails = []
-    above, above_lo = [1], shape.width  # the one empty end past the top row
-    for lo, hi in reversed(bounds):
-        tail = [0] * (hi - lo + 1)
-        ends = 0
-        for x in range(hi, lo - 1, -1):  # bounds rise with k: x <= hi <= above's hi
-            ends += above[max(x, above_lo) - above_lo]
-            tail[x - lo] = ends
-        tails.append(tail)
-        above, above_lo = tail, lo
-    if not 0 <= index < above[0]:
-        raise ShapeError(f"tiling index {index} outside 0..{above[0] - 1}")
+    tails = list(rows)[::-1]  # bottom row first
+    total = tails[0][0] if tails else 1
+    if not 0 <= index < total:
+        raise ShapeError(f"tiling index {index} outside 0..{total - 1}")
     record = []
     later = index  # the paths after the one sought, among those still in reach
-    for (lo, hi), tail in zip(bounds, reversed(tails)):
+    for (lo, hi), tail in zip(shape.north_step_bounds(), tails):
         x, passed = hi, 0
         while tail[x - lo] <= later:  # every end with c_k >= x comes after it
             passed = tail[x - lo]

@@ -10,6 +10,7 @@ import pytest
 import skewcount
 import skewcount.cli as cli
 from skewcount.cli import main
+from skewcount.errors import InvariantError
 
 
 def run(capsys, *argv):
@@ -216,6 +217,13 @@ class TestVerify:
         for cols in range(6):
             shapes = cli._box_sweep(rows, cols, cli.DEFAULT_CAP)
             assert cli._sweep_size(rows, cols, cli.DEFAULT_CAP) == len(shapes)
+
+    def test_sweep_that_drops_a_shape_is_refused(self, monkeypatch):
+        # every count of the shapes left would still agree
+        real = cli.subpartitions
+        monkeypatch.setattr(cli, "subpartitions", lambda outer: real(outer)[:-1])
+        with pytest.raises(InvariantError, match="^2x2 box swept 14 shapes, not MacMahon's 20$"):
+            cli._box_sweep(2, 2, cli.DEFAULT_CAP)
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one(self, capsys, jobs):
@@ -666,10 +674,10 @@ class TestStreaming:
         assert err == "error: tiling index 5 outside 0..4\n"
 
     def test_render_out_of_range_never_draws(self, capsys, monkeypatch, tmp_path):
-        def no_draw(shape, index):
+        def no_draw(shape, path):
             raise AssertionError("drew a tiling for an index out of range")
 
-        monkeypatch.setattr("skewcount.tilings.tiling_at", no_draw)
+        monkeypatch.setattr("skewcount.tilings.lattice_path_to_tiling", no_draw)
         code, _, err = run(capsys, "render", "2,1", "--tiling", "5", "-o", str(tmp_path / "x.svg"))
         assert (code, err) == (2, "error: tiling index 5 outside 0..4\n")
 

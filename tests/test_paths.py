@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from skewcount.errors import CapExceededError, ShapeError, WrongEndpointsError
+from skewcount.kreweras import kreweras_count
 from skewcount.paths import (
     LatticePath,
     count_monotone,
@@ -12,8 +13,10 @@ from skewcount.paths import (
     enumerate_paths,
     is_admissible,
     path_from_north_record,
+    suffix_counts,
 )
 from skewcount.shapes import Partition, SkewShape, parse_shape, partitions_in_box, subpartitions
+from test_kreweras import skew_shapes
 
 
 def brute_force_count(shape):
@@ -140,6 +143,31 @@ class TestCountDp:
         for text in ["2,1", "3,1/2", "3,2,1", "2,2/1"]:
             s = parse_shape(text)
             assert count_paths_dp(s) == brute_force_count(s)
+
+    def test_band_of_500_rows_matches_det(self):
+        # 502,501,...,3 / 500,499,...,1: a span of three cells a row, and a
+        # count of 210 digits, far past the box sweeps and hypothesis shapes
+        band = SkewShape(range(502, 2, -1), range(500, 0, -1))
+        assert count_paths_dp(band) == kreweras_count(band)
+
+
+class TestSuffixCounts:
+    @given(skew_shapes())
+    def test_table_holds_m_plus_n_cells(self, shape):
+        assert sum(map(len, suffix_counts(shape))) == shape.m + shape.n
+
+    def test_rows_of_two_one(self):
+        # top row first, over its span 0..2, then the bottom row over 0..1:
+        # 5 paths in all, 2 of them with their first north step at x = 1
+        assert list(suffix_counts(parse_shape("2,1"))) == [[3, 2, 1], [5, 2]]
+
+    def test_refused_at_the_call(self, monkeypatch):
+        def no_bounds(self):
+            raise AssertionError("read the bounds of a shape past the dp guard")
+
+        monkeypatch.setattr(SkewShape, "north_step_bounds", no_bounds)
+        with pytest.raises(ShapeError, match="^shape too large: 10000001 dp cells, past"):
+            suffix_counts(parse_shape("10000000"))
 
 
 class TestCountMonotone:
