@@ -13,7 +13,9 @@ import time
 from functools import partial
 from importlib import import_module
 
-from .errors import CapExceededError, InvariantError, ShapeError, count_leaves, take_leaves
+from .errors import (
+    CapExceededError, InvariantError, ShapeError, count_leaves, format_count, take_leaves,
+)
 from .kreweras import kreweras_count
 from .paths import LatticePath, count_paths_dp, path_listing, walk_paths
 from .shapes import (
@@ -69,7 +71,7 @@ def _resolve_cap(args: argparse.Namespace) -> int:
 def cmd_count(args: argparse.Namespace) -> int:
     shape = parse_shape(args.shape)
     method = "gv_det" if args.method == "gv" else args.method
-    print(METHODS[method](shape, _resolve_cap(args)))
+    print(format_count(METHODS[method](shape, _resolve_cap(args))))
     return 0
 
 
@@ -92,7 +94,7 @@ def _verify_one(shape: SkewShape, cap: int) -> dict:
         elapsed[name] = round((time.perf_counter() - t0) * 1000.0, 3)
     return {
         "shape": format_shape(shape),
-        "counts": {k: str(v) for k, v in counts.items()},
+        "counts": {k: format_count(v) for k, v in counts.items()},
         "agree": len(set(counts.values())) == 1,
         "elapsed_ms": elapsed,
     }
@@ -208,27 +210,25 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     cap = _resolve_cap(args)
     limit = None if args.limit is None else parse_integer(args.limit, "--limit", 0)
     listing, as_text = LISTINGS[args.what]
-    # the total is counted before the walk, and all is built before anything
-    # prints, so a size error walks nothing and a cap error prints nothing; one
-    # item past the limit marks the listing truncated
+    # the dp count fixes how many items print before anything is walked, and
+    # the cap judges that number after the size and depth guards, so a refused
+    # listing walks nothing; each item prints at its leaf, the last one ends the walk
     total = count_paths_dp(shape)
-    stop = None if limit is None else limit + 1
-    shown = take_leaves(*listing(shape), cap, stop)
-    truncated = len(shown) == stop
-    if truncated:
-        shown.pop()
+    walk, build = listing(shape)
+    shown = total if limit is None else min(limit, total)
+    if shown > cap:
+        raise CapExceededError(cap)
+    marker = f"... truncated: showing {shown} of {total}"
     if args.fmt == "json":
         import json
 
-        for item in shown:
-            print(json.dumps(item.to_json(), sort_keys=True))
-        if truncated:
-            print(json.dumps({"truncated": True, "shown": len(shown), "total": total}))
-    else:
-        for item in shown:
-            print(as_text(item))
-        if truncated:
-            print(f"... truncated: showing {len(shown)} of {total}")
+        as_text = lambda item: json.dumps(item.to_json(), sort_keys=True)
+        marker = json.dumps({"truncated": True, "shown": shown, "total": total})
+    printed = take_leaves(walk, lambda leaf: print(as_text(build(leaf))), None, shown)
+    if printed != shown:  # short of dp's count; for families, Gessel-Viennot fails
+        raise InvariantError(f"{args.what} of {format_shape(shape)}: {printed}, not dp's {total}")
+    if shown < total:
+        print(marker)
     return 0
 
 

@@ -67,42 +67,36 @@ def drive(walk: Callable[[Callable], None], visit: Callable) -> None:
         raise _too_deep() from None
 
 
-def count_leaves(walk: Callable[[Callable], None], cap: int | None) -> int:
-    """Number of leaves the walk visits, with CapExceededError in place of leaf
-    cap + 1. ``None`` means no cap."""
-    count = 0
+def take_leaves(walk: Callable, take: Callable, cap: int | None, stop: int | None = None) -> int:
+    """Call ``take(leaf)`` at the walk's leaves 0, ..., stop - 1, in walk order,
+    and return how many it took. The walk ends at leaf stop - 1 (``None``: at
+    its own end), so no leaf past it is searched for, and leaf cap + 1 raises
+    CapExceededError in its place. ``None`` means no cap."""
+    taken = 0
 
     def visit(leaf) -> None:
-        nonlocal count
-        if count == cap:
+        nonlocal taken
+        if taken == cap:
             raise CapExceededError(cap)
-        count += 1
-
-    drive(walk, visit)
-    return count
-
-
-def take_leaves(
-    walk: Callable[[Callable], None],
-    build: Callable,
-    cap: int | None,
-    stop: int | None = None,
-) -> list:
-    """``build(leaf)`` for the walk's leaves 0, ..., stop - 1, in walk order.
-
-    The walk ends at leaf stop - 1 (``None``: at its own end), so no leaf past
-    it is searched for, and leaf cap + 1 raises CapExceededError in its place.
-    """
-    items = []
-
-    def visit(leaf) -> None:
-        if len(items) == cap:
-            raise CapExceededError(cap)
-        items.append(build(leaf))
-        if len(items) == stop:
+        take(leaf)
+        taken += 1
+        if taken == stop:
             raise _Enough
 
-    drive(walk, visit)
+    if stop != 0:
+        drive(walk, visit)
+    return taken
+
+
+def count_leaves(walk: Callable, cap: int | None) -> int:
+    """Number of leaves the walk visits, through :func:`take_leaves`'s cap."""
+    return take_leaves(walk, lambda leaf: None, cap)
+
+
+def list_leaves(walk: Callable, build: Callable, cap: int | None) -> list:
+    """``build(leaf)`` for each of the walk's leaves, through :func:`take_leaves`'s cap."""
+    items = []
+    take_leaves(walk, lambda leaf: items.append(build(leaf)), cap)
     return items
 
 
@@ -131,7 +125,18 @@ MAX_MATRIX_ENTRIES = 10_000_000
 def check_size(size: int, limit: int, unit: str) -> None:
     """Raise ShapeError, naming both numbers, if size is past limit."""
     if size > limit:
-        raise ShapeError(f"shape too large: {size} {unit}, past the limit of {limit}")
+        raise ShapeError(f"shape too large: {format_count(size)} {unit}, past the limit of {limit}")
+
+
+def format_count(count: int) -> str:
+    """A count in decimal, every digit: past the digits ``str`` converts (4,300
+    where the interpreter has a limit), its halves are written apart."""
+    try:
+        return str(count)
+    except ValueError:
+        half = count.bit_length() * 3 // 20  # about half the digits: log10(2) > 0.3
+        high, low = divmod(count, 10**half)
+        return format_count(high) + format_count(low).zfill(half)
 
 
 class MalformedFamilyError(SkewCountError, ValueError):

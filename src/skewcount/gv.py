@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, NamedTuple
 
-from .errors import MAX_MATRIX_ENTRIES, InvariantError, check_size, take_leaves
+from .errors import MAX_MATRIX_ENTRIES, InvariantError, check_depth, check_size, list_leaves
 from .exact import IntMatrix, det_exact
 from .paths import STEP_EAST, STEP_NORTH, LatticePath, Point, count_monotone
 from .shapes import SkewShape
@@ -177,8 +177,11 @@ def _read_family(
 
 
 def family_listing(config: GVConfig) -> tuple[Callable, Callable[[dict[int, int]], PathFamily]]:
-    """The family walk of the configuration, and the builder of a family from its leaf."""
+    """The family walk of the configuration, and the builder of a family from its
+    leaf. Its leaves lie at least a frame a path step and a start deep (every
+    pairing takes the same steps), so past the recursion limit it is refused here."""
     starts, ends, width = config.starts, config.ends, _id_width(config)
+    check_depth(sum(ex - sx + ey - sy for (sx, sy), (ex, ey) in zip(starts, ends)) + config.n)
     return (
         partial(walk_families, config),
         lambda occupied: _read_family(starts, ends, width, occupied),
@@ -187,4 +190,4 @@ def family_listing(config: GVConfig) -> tuple[Callable, Callable[[dict[int, int]
 
 def enumerate_disjoint_families(config: GVConfig, cap: int | None = None) -> list[PathFamily]:
     """All pairwise vertex-disjoint families as a list, in ascending north-record order."""
-    return take_leaves(*family_listing(config), cap)
+    return list_leaves(*family_listing(config), cap)

@@ -11,7 +11,9 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Iterator, NamedTuple
 
-from .errors import MAX_DP_CELLS, ShapeError, WrongEndpointsError, check_size, take_leaves
+from .errors import (
+    MAX_DP_CELLS, ShapeError, WrongEndpointsError, check_depth, check_size, list_leaves,
+)
 from .exact import binomial
 from .shapes import SkewShape
 
@@ -128,14 +130,16 @@ def walk_paths(shape: SkewShape, visit: Callable[[list[int]], None]) -> None:
 
 
 def path_listing(shape: SkewShape) -> tuple[Callable, Callable[[list[int]], LatticePath]]:
-    """The path walk of the shape, and the builder of a path from its leaf."""
+    """The path walk of the shape, and the builder of a path from its leaf. A
+    walk of more rows than the recursion limit is refused at the call."""
+    check_depth(shape.n)
     width = shape.width
     return partial(walk_paths, shape), lambda rec: path_from_north_record(rec, width)
 
 
 def enumerate_paths(shape: SkewShape, cap: int | None = None) -> list[LatticePath]:
     """All admissible paths of the shape, ordered lexicographically by north record."""
-    return take_leaves(*path_listing(shape), cap)
+    return list_leaves(*path_listing(shape), cap)
 
 
 def check_dp_cells(shape: SkewShape) -> None:

@@ -42,7 +42,7 @@ from .errors import (
     ShapeError,
     check_depth,
     check_size,
-    take_leaves,
+    list_leaves,
 )
 from .paths import (
     STEP_EAST, STEP_NORTH, LatticePath, is_admissible, path_from_north_record, suffix_counts,
@@ -272,7 +272,7 @@ def tiling_listing(shape: SkewShape) -> tuple[Callable, Callable[[list[int]], Ti
 
 def enumerate_tilings(shape: SkewShape, cap: int | None = None) -> list[Tiling]:
     """All tilings of the shape's region, in the search order of :func:`walk_tilings`."""
-    return take_leaves(*tiling_listing(shape), cap)
+    return list_leaves(*tiling_listing(shape), cap)
 
 
 def tiling_at(shape: SkewShape, index: int) -> Tiling:

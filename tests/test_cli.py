@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -115,6 +116,13 @@ class TestCount:
         code, _, err = run(capsys, "count", "1", "--method", "enum")
         assert code == 2
         assert "SKEWCOUNT_CAP" in err
+
+    def test_count_past_the_digit_limit_prints_whole(self, capsys):
+        # C(10^100 + 50, 50) has 4,936 digits, past the 4,300 that str() converts
+        code, out, err = run(capsys, "count", ",".join([str(10**100)] * 50))
+        assert (code, err, len(out)) == (0, "", 4937)
+        expected = math.comb(10**100 + 50, 50)
+        assert int(out[:2000]) * 10 ** 2936 + int(out[2000:]) == expected
 
     def test_det_ignores_cap(self, capsys):
         code, out, _ = run(capsys, "count", "5,4,3,2,1", "--cap", "1")
@@ -643,13 +651,35 @@ class TestStreaming:
         assert code == 0
         assert json.loads(out.splitlines()[-1]) == {"truncated": True, "shown": 1, "total": 20}
 
-    @pytest.mark.parametrize("cap, code", [("3", 0), ("2", 3)])
+    @pytest.mark.parametrize("cap, code", [("3", 0), ("2", 0), ("1", 3)])
     def test_cap_counts_items_drawn(self, capsys, cap, code):
-        # --limit 2 draws a third item to decide on the truncation marker
-        for what in ("paths", "families"):
+        # --limit 2 prints two items and the marker, whose total comes from dp,
+        # so it meets the cap only when two items exceed it
+        for what in ("paths", "tilings", "families"):
             got, out, _ = run(capsys, "enumerate", "2,1", what, "--limit", "2", "--cap", cap)
-            assert got == code
-            assert (out == "") == (code == 3)
+            lines = out.splitlines()
+            if code == 3:
+                assert (got, out) == (3, "")
+            else:
+                assert (got, len(lines), lines[-1]) == (0, 3, "... truncated: showing 2 of 5")
+
+    @pytest.mark.parametrize("what", ["paths", "tilings", "families"])
+    def test_listing_past_the_cap_never_walks(self, capsys, monkeypatch, what):
+        # 12 rows of 12 have C(24, 12) = 2,704,156 items of each kind
+        def no_walk(*args):
+            raise AssertionError("walked a listing past the cap")
+
+        for target in ("skewcount.paths.walk_paths", "skewcount.tilings.walk_tilings",
+                       "skewcount.gv.walk_families"):
+            monkeypatch.setattr(target, no_walk)
+        code, out, err = run(capsys, "enumerate", ",".join(["12"] * 12), what)
+        assert (code, out, err) == (3, "", "error: enumeration exceeded cap of 1000000 items\n")
+
+    def test_walk_shorter_than_dp_is_an_invariant_error(self, capsys, monkeypatch):
+        count = cli.count_paths_dp
+        monkeypatch.setattr(cli, "count_paths_dp", lambda shape: count(shape) + 1)
+        with pytest.raises(InvariantError, match="^paths of 2,1: 5, not dp's 6$"):
+            main(["enumerate", "2,1", "paths"])
 
     def test_render_draws_only_up_to_the_index(self, capsys, tmp_path):
         out_file = tmp_path / "big.svg"
@@ -718,6 +748,9 @@ class TestPastMaxsize:
 BOX_40 = ",".join(["40"] * 40)
 # one row past the matrix limit: 3,163^2 entries
 ONES_3163 = ",".join(["1"] * 3163)
+# 20 rows of a 4,300-digit part, which parse_integer still reads: its sizes
+# run past the digits str() converts
+NINES_20 = ",".join(["9" * 4300] * 20)
 
 
 class TestDeepSearch:
@@ -732,6 +765,10 @@ class TestDeepSearch:
             pytest.param(("count", BOX_40, "--method", "tilings"), id="count-tilings"),
             pytest.param(("enumerate", ",".join(["1"] * 1200), "paths", "--limit", "1"),
                          id="enumerate-paths"),
+            # with no --limit, past the cap too: the depth refusal comes first
+            pytest.param(("enumerate", BOX_40, "tilings"), id="enumerate-tilings-all"),
+            pytest.param(("enumerate", BOX_40, "families"), id="enumerate-families-all"),
+            pytest.param(("enumerate", ",".join(["3"] * 1200), "paths"), id="enumerate-paths-all"),
         ],
     )
     def test_too_deep_exits_2(self, capsys, argv):
@@ -768,6 +805,11 @@ class TestDeepSearch:
             pytest.param(("enumerate", "10000000", "paths", "--limit", "1"), id="enumerate-paths"),
             pytest.param(("count", ONES_3163), id="count-det"),
             pytest.param(("count", ONES_3163, "--method", "gv_det"), id="count-gv_det"),
+            pytest.param(("count", NINES_20, "--method", "dp"), id="count-dp-long-parts"),
+            pytest.param(("count", NINES_20, "--method", "tilings"), id="count-tilings-long-parts"),
+            pytest.param(("enumerate", NINES_20, "paths", "--limit", "1"),
+                         id="enumerate-paths-long-parts"),
+            pytest.param(("render", "9" * 4300, "--tiling", "0"), id="render-tiling-long-part"),
         ],
     )
     def test_past_a_size_guard_exits_2(self, capsys, tmp_path, argv):
@@ -796,10 +838,19 @@ class TestDeepSearch:
         assert err.count("\n") == 1
 
     def test_thirty_rows_of_thirty_still_search(self):
-        # a fresh interpreter: pytest's own frames would eat into the limit
-        done = run_process("enumerate", ",".join(["30"] * 30), "tilings", "--limit", "0")
+        # a fresh interpreter: pytest's own frames would eat into the limit. The
+        # 960-lozenge walk prints its first tiling at the leaf, in either format
+        shape = ",".join(["30"] * 30)
+        done = run_process("enumerate", shape, "tilings", "--limit", "1")
         assert (done.returncode, done.stderr) == (0, "")
-        assert done.stdout == "... truncated: showing 0 of 118264581564861424\n"
+        first, marker = done.stdout.splitlines()
+        assert len(first.split()) == 960
+        assert marker == "... truncated: showing 1 of 118264581564861424"
+        done = run_process("enumerate", shape, "tilings", "--limit", "1", "--format", "json")
+        assert (done.returncode, done.stderr) == (0, "")
+        first, marker = map(json.loads, done.stdout.splitlines())
+        assert len(first["lozenges"]) == 960
+        assert marker == {"truncated": True, "shown": 1, "total": 118264581564861424}
 
 
 BAD_INTEGERS = [
@@ -1006,6 +1057,21 @@ sys.exit(cli.main(sys.argv[2:]))
 """
 
 
+# runs the CLI with a byte written to the file argv[1] for each path built
+BUILT = """
+import os, sys
+import skewcount.paths as paths
+from skewcount import cli
+log = os.open(sys.argv[1], os.O_WRONLY | os.O_APPEND)
+build = paths.path_from_north_record
+def counted(record, width):
+    os.write(log, b".")
+    return build(record, width)
+paths.path_from_north_record = counted
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
 class TestClosedStdout:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_verify_stops_when_the_reader_leaves(self, tmp_path, jobs):
@@ -1030,6 +1096,29 @@ class TestClosedStdout:
         # shapes, only the two the workers are running have started (the bound
         # leaves room for one more)
         assert log.stat().st_size < 3 * 1_212
+
+    def test_listing_stops_when_the_reader_leaves(self, tmp_path):
+        # `enumerate <12 rows of 12> paths --limit 999999 | head -1`: each path
+        # prints at its leaf, so the listing ends at the first write after the
+        # reader leaves, not after it has built 999,999 paths
+        log, err = tmp_path / "built", tmp_path / "err"
+        log.touch()
+        argv = ["enumerate", ",".join(["12"] * 12), "paths", "--limit", "999999"]
+        with err.open("wb") as err_file:
+            proc = subprocess.Popen(
+                [sys.executable, "-c", BUILT, str(log), *argv],
+                env=package_env(), stdout=subprocess.PIPE, stderr=err_file,
+            )
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+        assert first == b"N" * 12 + b"E" * 12 + b"\n"
+        assert (code, err.read_bytes()) == (141, b"")
+        # the pipe holds a few thousand 25-byte lines before a write blocks
+        assert log.stat().st_size < 50_000
 
 
 class FakePool:

@@ -7,7 +7,10 @@ from skewcount.errors import (
     NotAdmissibleError,
     ShapeError,
     WrongEndpointsError,
+    check_size,
     count_leaves,
+    format_count,
+    list_leaves,
     take_leaves,
 )
 from skewcount.gv import gv_endpoints, gv_matrix
@@ -44,7 +47,7 @@ class TestCapped:
 
     def test_cap_equal_to_length_does_not_raise(self):
         walk, _ = counting(4)
-        assert take_leaves(walk, str, 4) == ["0", "1", "2", "3"]
+        assert list_leaves(walk, str, 4) == ["0", "1", "2", "3"]
         assert count_leaves(walk, 4) == 4
 
     def test_none_is_unbounded(self):
@@ -55,8 +58,14 @@ class TestCapped:
     @pytest.mark.parametrize("cap", [None, 2, 10])
     def test_draws_only_what_is_asked(self, cap):
         walk, visited = counting(100)
-        assert take_leaves(walk, str, cap, 2) == ["0", "1"]
-        assert visited == [0, 1]
+        taken = []
+        assert take_leaves(walk, taken.append, cap, 2) == 2
+        assert taken == visited == [0, 1]
+
+    def test_stop_at_zero_walks_nothing(self):
+        walk, visited = counting(100)
+        assert take_leaves(walk, pytest.fail, 0, 0) == 0
+        assert visited == []
 
     def test_too_deep_search_is_a_shape_error(self):
         def deep(visit):
@@ -95,3 +104,18 @@ def test_one_row_past_a_size_guard_is_a_shape_error(build, outer):
     with pytest.raises(ShapeError, match="^shape too large: ") as exc:
         build(SkewShape(outer))
     assert "\n" not in str(exc.value)
+
+
+@pytest.mark.parametrize("digits", [80, 4300, 4301, 4936, 20000])
+def test_format_count_writes_every_digit(digits):
+    # str() refuses an int past 4,300 digits where the interpreter has that limit
+    count = 10 ** (digits - 1) + 7 * 10 ** (digits // 2) + 3
+    text = format_count(count)
+    assert len(text) == digits
+    assert (text[0], text[-(digits // 2) - 1], text[-1], text.count("0")) == ("1", "7", "3", digits - 3)
+    assert format_count(10**digits - 1) == "9" * digits
+
+
+def test_size_past_the_digit_limit_is_named():
+    with pytest.raises(ShapeError, match="^shape too large: 1(0{4400}) cells, past the limit of 5$"):
+        check_size(10**4400, 5, "cells")
