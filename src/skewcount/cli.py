@@ -14,12 +14,12 @@ from functools import partial
 from importlib import import_module
 
 from .errors import (
-    CapExceededError, InvariantError, ShapeError, count_leaves, format_count, take_leaves,
+    CapExceededError, InvariantError, ShapeError, clip, count_leaves, format_count, take_leaves,
 )
 from .kreweras import kreweras_count
-from .paths import LatticePath, count_paths_dp, path_listing, walk_paths
+from .paths import LatticePath, count_paths_dp, path_listing
 from .shapes import (
-    SkewShape, clip, format_shape, parse_integer, parse_shape, partitions_in_box, subpartitions,
+    SkewShape, format_shape, parse_integer, parse_shape, partitions_in_box, subpartitions,
 )
 
 DEFAULT_CAP = 1_000_000
@@ -33,21 +33,20 @@ def _load(name: str):
     return import_module(f".{name}", __package__)
 
 
-# every route, in verify's order; the three searches count their walk's leaves
-# through the cap and build no path, tiling or family
-METHODS = {
-    "det": lambda shape, cap: kreweras_count(shape),
-    "dp": lambda shape, cap: count_paths_dp(shape),
-    "enum": lambda shape, cap: count_leaves(partial(walk_paths, shape), cap),
-    "tilings": lambda shape, cap: count_leaves(partial(_load("tilings").walk_tilings, shape), cap),
-    "gv_enum": lambda shape, cap: count_leaves(
-        partial(_load("gv").walk_families, _load("gv").gv_endpoints(shape)), cap
-    ),
-    "gv_det": lambda shape, cap: _load("gv").gv_count(_load("gv").gv_endpoints(shape)),
-}
+def _search(listing, shape: SkewShape, cap: int, wanted: int | None = None, as_text=None) -> int:
+    """A search's leaves by the one cap rule: its listing runs its guards, then
+    ``wanted`` leaves (dp's count if None) past the cap raise, with no walk. A
+    count stops one leaf past the cap; a listing prints ``as_text`` of each leaf."""
+    walk, build = listing(shape)
+    if (count_paths_dp(shape) if wanted is None else wanted) > cap:
+        raise CapExceededError(cap)
+    if as_text is None:
+        return count_leaves(walk, cap + 1)
+    return take_leaves(walk, lambda leaf: print(as_text(build(leaf))), wanted)
 
-# enumerate's listings: what -> (the search's walk and leaf builder from a shape,
-# one item as a text line)
+
+# enumerate's listings: what -> (the search's guarded walk and leaf builder from
+# a shape, one item as a text line); SEARCHES gives each its count method
 LISTINGS = {
     "paths": (lambda shape: path_listing(shape), lambda p: p.steps),
     "tilings": (
@@ -58,6 +57,16 @@ LISTINGS = {
         lambda shape: _load("gv").family_listing(_load("gv").gv_endpoints(shape)),
         lambda f: " | ".join(f"({p.start[0]},{p.start[1]}):{p.steps}" for p in f.paths),
     ),
+}
+SEARCHES = {"enum": "paths", "tilings": "tilings", "gv_enum": "families"}
+
+# every route, in verify's order; a search counts its walk's leaves and builds
+# no path, tiling or family, and verify hands it the dp route's count
+METHODS = {
+    "det": lambda shape, cap: kreweras_count(shape),
+    "dp": lambda shape, cap: count_paths_dp(shape),
+    **{name: partial(_search, LISTINGS[what][0]) for name, what in SEARCHES.items()},
+    "gv_det": lambda shape, cap: _load("gv").gv_count(_load("gv").gv_endpoints(shape)),
 }
 
 
@@ -71,13 +80,17 @@ def _resolve_cap(args: argparse.Namespace) -> int:
 def cmd_count(args: argparse.Namespace) -> int:
     shape = parse_shape(args.shape)
     method = "gv_det" if args.method == "gv" else args.method
-    print(format_count(METHODS[method](shape, _resolve_cap(args))))
+    cap = _resolve_cap(args)
+    count = METHODS[method](shape, cap)
+    if method in SEARCHES and count > cap:  # a walk past dp's count, ended past the cap
+        raise CapExceededError(cap)
+    print(format_count(count))
     return 0
 
 
 def _verify_one(shape: SkewShape, cap: int) -> dict:
-    """The shape's report line: every route's count and time, or, once a
-    search passes the cap, the route that did, and no counts."""
+    """The shape's report line: every route's count and time, "capped" for a
+    search past the cap, and whether the counts that finished agree."""
     # every route's module is loaded before the first clock starts, so
     # elapsed_ms is route time only, in a pool worker too
     _load("gv")
@@ -88,14 +101,14 @@ def _verify_one(shape: SkewShape, cap: int) -> dict:
     for name, count in METHODS.items():
         t0 = time.perf_counter()
         try:
-            counts[name] = count(shape, cap)
+            counts[name] = count(shape, cap, counts["dp"]) if name in SEARCHES else count(shape, cap)
         except CapExceededError:
-            return {"cap": cap, "capped": name, "shape": format_shape(shape)}
+            counts[name] = None
         elapsed[name] = round((time.perf_counter() - t0) * 1000.0, 3)
     return {
         "shape": format_shape(shape),
-        "counts": {k: format_count(v) for k, v in counts.items()},
-        "agree": len(set(counts.values())) == 1,
+        "counts": {k: "capped" if v is None else format_count(v) for k, v in counts.items()},
+        "agree": len(set(counts.values()) - {None}) == 1,
         "elapsed_ms": elapsed,
     }
 
@@ -198,9 +211,8 @@ def _emit_reports(reports) -> tuple[dict | None, bool]:
     capped = False
     for report in reports:
         print(json.dumps(report, sort_keys=True), flush=True)
-        if "capped" in report:
-            capped = True
-        elif not report["agree"] and first_bad is None:
+        capped = capped or "capped" in report["counts"].values()
+        if not report["agree"] and first_bad is None:
             first_bad = report
     return first_bad, capped
 
@@ -210,21 +222,17 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     cap = _resolve_cap(args)
     limit = None if args.limit is None else parse_integer(args.limit, "--limit", 0)
     listing, as_text = LISTINGS[args.what]
-    # the dp count fixes how many items print before anything is walked, and
-    # the cap judges that number after the size and depth guards, so a refused
-    # listing walks nothing; each item prints at its leaf, the last one ends the walk
+    # the dp count fixes how many items print, and the cap judges that number,
+    # before anything is walked; each item prints at its leaf, the last ends the walk
     total = count_paths_dp(shape)
-    walk, build = listing(shape)
     shown = total if limit is None else min(limit, total)
-    if shown > cap:
-        raise CapExceededError(cap)
     marker = f"... truncated: showing {shown} of {total}"
     if args.fmt == "json":
         import json
 
         as_text = lambda item: json.dumps(item.to_json(), sort_keys=True)
         marker = json.dumps({"truncated": True, "shown": shown, "total": total})
-    printed = take_leaves(walk, lambda leaf: print(as_text(build(leaf))), None, shown)
+    printed = _search(listing, shape, cap, shown, as_text)
     if printed != shown:  # short of dp's count; for families, Gessel-Viennot fails
         raise InvariantError(f"{args.what} of {format_shape(shape)}: {printed}, not dp's {total}")
     if shown < total:
@@ -235,10 +243,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_render(args: argparse.Namespace) -> int:
     tilings = _load("tilings")
     shape = parse_shape(args.shape)
-    # the cap is read though neither branch searches, so a bad one exits 2 on
-    # either; each branch checks its input before it builds the region, so a
-    # bad index or path on a large shape exits 2 without allocating one
-    _resolve_cap(args)
+    # neither branch searches, so render reads no cap; each checks its input
+    # before it builds the region, so a bad index or path on a large shape
+    # exits 2 without allocating one
     if args.tiling is not None:
         tiling = tilings.tiling_at(shape, parse_integer(args.tiling, "--tiling", 0))
     else:
@@ -322,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="admissible path whose induced tiling to draw")
     p.add_argument("--shade", choices=("a", "b", "both"), default="both")
     p.add_argument("-o", "--output", required=True, metavar="FILE")
-    _add_cap(p)
     p.set_defaults(func=cmd_render)
     return parser
 

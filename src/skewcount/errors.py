@@ -1,4 +1,4 @@
-"""Exception types shared across the library, and the one place a cap is enforced."""
+"""Exception types shared across the library, the driver of the searches and their guards."""
 
 import sys
 from typing import Callable
@@ -37,7 +37,7 @@ class NotSquareError(SkewCountError, ValueError):
 
 
 class CapExceededError(SkewCountError, RuntimeError):
-    """An enumeration produced more items than the configured cap."""
+    """A search's dp count, or its walk, passed the cap; only the CLI raises it."""
 
     def __init__(self, cap: int):
         super().__init__(f"enumeration exceeded cap of {cap} items")
@@ -67,17 +67,14 @@ def drive(walk: Callable[[Callable], None], visit: Callable) -> None:
         raise _too_deep() from None
 
 
-def take_leaves(walk: Callable, take: Callable, cap: int | None, stop: int | None = None) -> int:
+def take_leaves(walk: Callable, take: Callable, stop: int | None = None) -> int:
     """Call ``take(leaf)`` at the walk's leaves 0, ..., stop - 1, in walk order,
     and return how many it took. The walk ends at leaf stop - 1 (``None``: at
-    its own end), so no leaf past it is searched for, and leaf cap + 1 raises
-    CapExceededError in its place. ``None`` means no cap."""
+    its own end), so no leaf past it is searched for."""
     taken = 0
 
     def visit(leaf) -> None:
         nonlocal taken
-        if taken == cap:
-            raise CapExceededError(cap)
         take(leaf)
         taken += 1
         if taken == stop:
@@ -88,16 +85,21 @@ def take_leaves(walk: Callable, take: Callable, cap: int | None, stop: int | Non
     return taken
 
 
-def count_leaves(walk: Callable, cap: int | None) -> int:
-    """Number of leaves the walk visits, through :func:`take_leaves`'s cap."""
-    return take_leaves(walk, lambda leaf: None, cap)
+def count_leaves(walk: Callable, stop: int | None = None) -> int:
+    """Number of leaves the walk visits, up to ``stop`` (see :func:`take_leaves`)."""
+    return take_leaves(walk, lambda leaf: None, stop)
 
 
-def list_leaves(walk: Callable, build: Callable, cap: int | None) -> list:
-    """``build(leaf)`` for each of the walk's leaves, through :func:`take_leaves`'s cap."""
+def list_leaves(walk: Callable, build: Callable) -> list:
+    """``build(leaf)`` for each of the walk's leaves."""
     items = []
-    take_leaves(walk, lambda leaf: items.append(build(leaf)), cap)
+    take_leaves(walk, lambda leaf: items.append(build(leaf)))
     return items
+
+
+def clip(text: str, limit: int = 40) -> str:
+    """At most `limit` characters of text echoed into an error line, then "..." if cut."""
+    return text if len(text) <= limit else f"{text[:limit]}..."
 
 
 def _too_deep() -> ShapeError:
@@ -107,25 +109,42 @@ def _too_deep() -> ShapeError:
     )
 
 
+# the frames a walk adds beyond its depth, counted from a listing's guard: the
+# calls down to the walk and the CLI's visitor at a leaf, which builds an item
+# and prints it as text (measured on Python 3.11). A JSON line takes 2 more, so
+# in the 2 depths below the refusal such a listing ends in drive's own refusal
+WALK_FRAMES = 11
+
+
 def check_depth(depth: int) -> None:
-    """Raise :func:`drive`'s too-deep ShapeError up front for a search this deep."""
-    if depth > sys.getrecursionlimit():
+    """Raise :func:`drive`'s too-deep ShapeError up front for a search this deep,
+    walked from the caller: the frames already on the stack count, and
+    ``WALK_FRAMES`` more, so it refuses at the depth where the walk would fail."""
+    frames, frame = 0, sys._getframe(1)
+    while frame is not None:
+        frames, frame = frames + 1, frame.f_back
+    if frames + depth + WALK_FRAMES > sys.getrecursionlimit():
         raise _too_deep()
 
 
 # Sizes past which a route refuses a shape before it allocates for it. A region
 # costs about 330 B a lozenge, and at 200,000 lozenges `render --path` already
-# takes about 7 s and writes 34 MB; `dp` sweeps a row of width + 1 ints per row.
+# takes about 7 s and writes 34 MB; `dp` adds m + n counts. A listed path is a
+# string of width + n steps: 3 of 10,000,002 list in 1.1 s at 34 MB peak RSS.
 # `det` and `gv_det` build n^2 matrix entries; `count` of 3,162 rows of 1 takes 3 s, 94 MB.
 MAX_REGION_LOZENGES = 200_000
 MAX_DP_CELLS = 10_000_000
+MAX_PATH_STEPS = 20_000_000
 MAX_MATRIX_ENTRIES = 10_000_000
 
 
 def check_size(size: int, limit: int, unit: str) -> None:
-    """Raise ShapeError, naming both numbers, if size is past limit."""
+    """Raise ShapeError, naming both numbers, if size is past limit; the size is
+    clipped, so the line keeps its unit and the limit however long the size."""
     if size > limit:
-        raise ShapeError(f"shape too large: {format_count(size)} {unit}, past the limit of {limit}")
+        raise ShapeError(
+            f"shape too large: {clip(format_count(size))} {unit}, past the limit of {limit}"
+        )
 
 
 def format_count(count: int) -> str:

@@ -188,6 +188,6 @@ def family_listing(config: GVConfig) -> tuple[Callable, Callable[[dict[int, int]
     )
 
 
-def enumerate_disjoint_families(config: GVConfig, cap: int | None = None) -> list[PathFamily]:
+def enumerate_disjoint_families(config: GVConfig) -> list[PathFamily]:
     """All pairwise vertex-disjoint families as a list, in ascending north-record order."""
-    return list_leaves(*family_listing(config), cap)
+    return list_leaves(*family_listing(config))

@@ -12,7 +12,8 @@ from functools import partial
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import (
-    MAX_DP_CELLS, ShapeError, WrongEndpointsError, check_depth, check_size, list_leaves,
+    MAX_DP_CELLS, MAX_PATH_STEPS, ShapeError, WrongEndpointsError, check_depth, check_size,
+    list_leaves,
 )
 from .exact import binomial
 from .shapes import SkewShape
@@ -131,35 +132,34 @@ def walk_paths(shape: SkewShape, visit: Callable[[list[int]], None]) -> None:
 
 def path_listing(shape: SkewShape) -> tuple[Callable, Callable[[list[int]], LatticePath]]:
     """The path walk of the shape, and the builder of a path from its leaf. A
-    walk of more rows than the recursion limit is refused at the call."""
+    walk too deep for the recursion limit, or paths too long, are refused at the call."""
+    check_size(shape.width + shape.n, MAX_PATH_STEPS, "path steps")
     check_depth(shape.n)
     width = shape.width
     return partial(walk_paths, shape), lambda rec: path_from_north_record(rec, width)
 
 
-def enumerate_paths(shape: SkewShape, cap: int | None = None) -> list[LatticePath]:
+def enumerate_paths(shape: SkewShape) -> list[LatticePath]:
     """All admissible paths of the shape, ordered lexicographically by north record."""
-    return list_leaves(*path_listing(shape), cap)
-
-
-def check_dp_cells(shape: SkewShape) -> None:
-    """A shape of more than ``MAX_DP_CELLS`` cells n * (width + 1) is a ShapeError."""
-    check_size(shape.n * (shape.width + 1), MAX_DP_CELLS, "dp cells")
+    return list_leaves(*path_listing(shape))
 
 
 def suffix_counts(shape: SkewShape) -> Iterator[list[int]]:
     """Row k of the shape's table, top row first: ``tail[j]`` counts the ends
     c_k <= ... <= c_(n-1) of an admissible north record with c_k >= lo_k + j,
-    one addition for each of the m + n cells of the rows' spans. The shape is
-    refused past :func:`check_dp_cells` at the call, before a row is read."""
-    check_dp_cells(shape)
+    one addition for each of the m + n cells of the rows' spans. Past
+    ``MAX_DP_CELLS`` of those cells the shape is refused at the call, before a
+    row is read."""
+    check_size(shape.m + shape.n, MAX_DP_CELLS, "dp cells")
 
     def rows() -> Iterator[list[int]]:
         above, above_lo = [1], shape.width  # the one empty end past the top row
         for lo, hi in reversed(shape.north_step_bounds()):
             # the ends above that may follow c_k = lo + j, those with
-            # c_(k+1) >= max(lo + j, above_lo): bounds rise with k
-            follow = ([above[0]] * (above_lo - lo) + above)[: hi - lo + 1]
+            # c_(k+1) >= max(lo + j, above_lo): bounds rise with k, and the
+            # span holds hi - lo + 1 of them
+            span = hi - lo + 1
+            follow = ([above[0]] * min(above_lo - lo, span) + above)[:span]
             tail, ends = [], 0
             for start in reversed(follow):
                 ends += start
@@ -174,8 +174,8 @@ def suffix_counts(shape: SkewShape) -> Iterator[list[int]]:
 def count_paths_dp(shape: SkewShape) -> int:
     """Number of admissible paths: the first entry of :func:`suffix_counts`'s
     bottom row, in O(m + n) additions with two rows held at a time. It never
-    enumerates paths, so it has no cap; past :func:`check_dp_cells` it refuses
-    the shape."""
+    enumerates paths, so it has no cap; past :func:`suffix_counts`'s guard it
+    refuses the shape."""
     tail = [1]  # the one path of a shape with no rows
     for tail in suffix_counts(shape):
         pass

@@ -17,16 +17,12 @@ from .errors import (
     NonMonotoneError,
     NotContainedError,
     ShapeError,
+    clip,
 )
 
 # README's integer grammar: ASCII digits with whitespace around them and an
 # optional leading "-"; int() alone would also take "1_0", "+3" and other scripts
 _INTEGER = re.compile(r"\s*(-?[0-9]+)\s*")
-
-
-def clip(text: str, limit: int = 40) -> str:
-    """At most `limit` characters of text echoed into an error line, then "..." if cut."""
-    return text if len(text) <= limit else f"{text[:limit]}..."
 
 
 def parse_integer(text: str, what: str, low: int) -> int:

@@ -35,6 +35,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from .errors import (
+    MAX_DP_CELLS,
     MAX_REGION_LOZENGES,
     InvariantError,
     MalformedFamilyError,
@@ -260,19 +261,22 @@ def walk_tilings(shape: SkewShape, visit: Callable[[list[int]], None]) -> None:
 
 
 def tiling_listing(shape: SkewShape) -> tuple[Callable, Callable[[list[int]], Tiling]]:
-    """The tiling walk of the shape, and the builder of a tiling from its leaf.
-    A shape too deep to walk is refused before the builder's keys are read."""
+    """The tiling walk of the shape, refused at the call if too deep, and the
+    builder of a tiling from its leaf, which reads its keys at its first call."""
     check_depth(region_lozenges(shape))
-    keys = [(base + 2 * a, a, b) for b, ups, _, base in _row_spans(shape) for a in ups]
-    return (
-        partial(walk_tilings, shape),
-        lambda cover: Tiling(frozenset([Lozenge(cover[i], a, b) for i, a, b in keys])),
-    )
+    keys = []
+
+    def build(cover: list[int]) -> Tiling:
+        if not keys:
+            keys.extend((base + 2 * a, a, b) for b, ups, _, base in _row_spans(shape) for a in ups)
+        return Tiling(frozenset([Lozenge(cover[i], a, b) for i, a, b in keys]))
+
+    return partial(walk_tilings, shape), build
 
 
-def enumerate_tilings(shape: SkewShape, cap: int | None = None) -> list[Tiling]:
+def enumerate_tilings(shape: SkewShape) -> list[Tiling]:
     """All tilings of the shape's region, in the search order of :func:`walk_tilings`."""
-    return list_leaves(*tiling_listing(shape), cap)
+    return list_leaves(*tiling_listing(shape))
 
 
 def tiling_at(shape: SkewShape, index: int) -> Tiling:
@@ -281,12 +285,13 @@ def tiling_at(shape: SkewShape, index: int) -> Tiling:
     :func:`walk_tilings` shows. An index outside 0..N-1 is a ShapeError.
 
     It unranks from :func:`~skewcount.paths.suffix_counts`, the table ``dp``
-    counts from, kept whole. Its ints grow with the rows, so the dp guard, run
-    first as ``dp`` runs it, bounds the table beside the region guard: a band
+    counts from, kept whole. Its ints grow with the rows, so beside the region
+    guard it is bounded as ``dp`` once was, by n rows of width + 1 cells: a band
     three cells wide, which the region guard admits to 49,999 rows, holds
     74 MB of table at 16,000 rows.
     """
-    rows = suffix_counts(shape)  # the dp guard, at the call
+    check_size(shape.n * (shape.width + 1), MAX_DP_CELLS, "dp cells")
+    rows = suffix_counts(shape)
     region_lozenges(shape)
     tails = list(rows)[::-1]  # bottom row first
     total = tails[0][0] if tails else 1

@@ -259,14 +259,20 @@ class TestVerify:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_capped_shape_gets_a_line_and_the_sweep_goes_on(self, capsys, monkeypatch, jobs):
-        # 2,1 has 5 paths, 9,7,6,2/3,1 has 399 and 2,2 has 6: only the middle one passes 10
+        # 2,1 has 5 paths, 9,7,6,2/3,1 has 399 and 2,2 has 6: only the middle one
+        # passes 10, and its report compares the counts that finished
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         code, out, err = run(capsys, "verify", "2,1", "9,7,6,2/3,1", "2,2", "--cap", "10",
                              "--jobs", jobs)
         assert (code, err) == (3, "error: enumeration exceeded cap of 10 items\n")
-        first, capped, last = out.splitlines()
-        assert json.loads(first)["shape"] == "2,1" and json.loads(last)["shape"] == "2,2"
-        assert capped == '{"cap": 10, "capped": "enum", "shape": "9,7,6,2/3,1"}'
+        first, capped, last = map(json.loads, out.splitlines())
+        assert first["shape"] == "2,1" and last["shape"] == "2,2"
+        assert first["agree"] and last["agree"]
+        assert (capped["shape"], capped["agree"], set(capped["elapsed_ms"])) == (
+            "9,7,6,2/3,1", True, set(cli.METHODS)
+        )
+        assert capped["counts"] == {"det": "399", "dp": "399", "enum": "capped",
+                                    "tilings": "capped", "gv_enum": "capped", "gv_det": "399"}
 
     def test_worker_error_crosses_the_pool(self, capsys, monkeypatch):
         # 99999 is too deep to search: a real pool re-raises the worker's
@@ -285,10 +291,13 @@ class TestVerify:
         assert err.startswith("error: shape too large to search: ") and err.count("\n") == 1
 
     def test_disagreement_outranks_a_cap(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "kreweras_count", lambda shape: 999)
+        # det is wrong on 1 alone; 9,7,6,2/3,1 agrees, with its searches capped
+        count = cli.kreweras_count
+        monkeypatch.setattr(cli, "kreweras_count", lambda shape: 999 if shape.n == 1 else count(shape))
         code, out, err = run(capsys, "verify", "9,7,6,2/3,1", "1", "--cap", "10")
         assert code == 1
-        assert [json.loads(line).get("capped") for line in out.splitlines()] == ["enum", None]
+        reports = [json.loads(line) for line in out.splitlines()]
+        assert [(r["agree"], r["counts"]["enum"]) for r in reports] == [(True, "capped"), (False, "2")]
         assert err.startswith("disagreement on 1: ")
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -562,6 +571,96 @@ class TestRender:
         assert err.startswith("error: skewcount render: argument --path: not allowed")
         assert err.count("\n") == 1
 
+    def test_cap_is_a_usage_error(self, capsys, tmp_path):
+        out_file = tmp_path / "x.svg"
+        code, out, err = run(capsys, "render", "2,1", "--tiling", "0", "--cap", "5",
+                             "-o", str(out_file))
+        assert (code, out) == (2, "")
+        assert err == "error: skewcount: unrecognized arguments: --cap 5\n"
+        assert not out_file.exists()
+
+    def test_cap_variable_is_not_read(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("SKEWCOUNT_CAP", "-1")
+        for pick in (["--tiling", "0"], ["--path", "NENE"]):
+            out_file = tmp_path / "x.svg"
+            assert run(capsys, "render", "2,1", *pick, "-o", str(out_file)) == (0, "", "")
+            assert out_file.read_text().startswith("<svg ")
+
+
+BOX_12 = ",".join(["12"] * 12)  # C(24, 12) = 2,704,156 items of each kind
+WALKS = ("skewcount.paths.walk_paths", "skewcount.tilings.walk_tilings",
+         "skewcount.gv.walk_families")
+
+
+class TestOneCapRule:
+    """Every command judges a search on dp's count before it walks, and walks a
+    count under the cap to one leaf past it at most."""
+
+    @pytest.fixture
+    def no_walk(self, monkeypatch):
+        def no_walk(*args):
+            raise AssertionError("walked a search past the cap")
+
+        for target in WALKS:
+            monkeypatch.setattr(target, no_walk)
+        # and wherever a `from` import may bind the name
+        monkeypatch.setattr(cli, "walk_paths", no_walk, raising=False)
+
+    @pytest.mark.parametrize("method", ["enum", "tilings", "gv_enum"])
+    def test_count_past_the_cap_walks_nothing(self, capsys, no_walk, method):
+        code, out, err = run(capsys, "count", BOX_12, "--method", method)
+        assert (code, out, err) == (3, "", "error: enumeration exceeded cap of 1000000 items\n")
+
+    def test_verify_past_the_cap_compares_what_finishes(self, capsys, no_walk):
+        code, out, err = run(capsys, "verify", BOX_12)
+        assert (code, err) == (3, "error: enumeration exceeded cap of 1000000 items\n")
+        report = json.loads(out)
+        assert report["agree"] and set(report["elapsed_ms"]) == set(cli.METHODS)
+        assert report["counts"] == {"det": "2704156", "dp": "2704156", "enum": "capped",
+                                    "tilings": "capped", "gv_enum": "capped", "gv_det": "2704156"}
+
+    def test_a_walk_past_dps_count_stops_one_leaf_past_the_cap(self, capsys, monkeypatch):
+        # dp says 1 for 3,2,1, which has 14: each walk runs under a cap of 5, and
+        # ends at its sixth leaf
+        leaves = []
+
+        def counting(walk):
+            def counted(*args):
+                *head, visit = args
+                seen = []
+                try:
+                    walk(*head, lambda leaf: (seen.append(1), visit(leaf)))
+                finally:
+                    leaves.append(len(seen))
+
+            return counted
+
+        for target in WALKS:
+            module, name = target.rsplit(".", 1)
+            monkeypatch.setattr(target, counting(getattr(sys.modules[module], name)))
+        monkeypatch.setattr(cli, "count_paths_dp", lambda shape: 1)
+        code, out, err = run(capsys, "verify", "3,2,1", "--cap", "5")
+        assert (code, err.startswith("disagreement on 3,2,1: ")) == (1, True)
+        assert json.loads(out)["counts"] == {"det": "14", "dp": "1", "enum": "6", "tilings": "6",
+                                             "gv_enum": "6", "gv_det": "14"}
+        for method in ("enum", "tilings", "gv_enum"):
+            code, out, err = run(capsys, "count", "3,2,1", "--method", method, "--cap", "5")
+            assert (code, out, err) == (3, "", "error: enumeration exceeded cap of 5 items\n")
+        assert leaves == [6] * 6
+
+    def test_a_wrong_det_past_the_cap_is_a_disagreement(self, capsys, monkeypatch):
+        # 8 rows of 40 have C(48, 8) = 377,348,994 paths: every search is capped,
+        # and det still meets dp and gv_det
+        shape = ",".join(["40"] * 8)
+        code, out, _ = run(capsys, "verify", shape)
+        counts = json.loads(out)["counts"]
+        assert (code, counts["det"], counts["dp"], counts["gv_det"]) == (3, *["377348994"] * 3)
+        count = cli.kreweras_count
+        monkeypatch.setattr(cli, "kreweras_count", lambda shape: count(shape) + 1)
+        code, out, err = run(capsys, "verify", shape)
+        assert (code, json.loads(out)["counts"]["det"]) == (1, "377348995")
+        assert err.startswith(f"disagreement on {shape}: ")
+
 
 class TestMethodTable:
     @pytest.mark.parametrize("method", [*cli.METHODS, "gv"])
@@ -588,13 +687,21 @@ class TestMethodTable:
                        "skewcount.tilings.Triangle",
                        "skewcount.gv.PathFamily", "skewcount.gv.LatticePath"):
             monkeypatch.setattr(target, no_item)
+        # the tiling builder's keys come from the row spans: a count reads them
+        # once, for the walk's own table, and never for the builder
+        import skewcount.tilings as tilings
+
+        spans = []
+        row_spans = tilings._row_spans
+        monkeypatch.setattr(tilings, "_row_spans", lambda shape: spans.append(1) or row_spans(shape))
         shape = cli.parse_shape("7,7,6,5,4/3,2")
         for method in ("enum", "tilings", "gv_enum"):
-            assert cli.METHODS[method](shape, None) == 680
+            assert cli.METHODS[method](shape, cli.DEFAULT_CAP) == 680
+        assert len(spans) == 1
         # the listings build items, so the patches bite
         for listing, _ in cli.LISTINGS.values():
             with pytest.raises(AssertionError, match="built an item"):
-                cli.take_leaves(*listing(shape), None, 1)
+                cli.take_leaves(*listing(shape), 1)
 
     @pytest.mark.parametrize("method", ["enum", "tilings", "gv_enum"])
     def test_cap_counts_leaves(self, capsys, method):
@@ -684,17 +791,16 @@ class TestStreaming:
     def test_render_draws_only_up_to_the_index(self, capsys, tmp_path):
         out_file = tmp_path / "big.svg"
         code, _, err = run(
-            capsys, "render", "5,5,5,5,5,5,5,5,5,5", "--tiling", "0", "--cap", "1",
-            "-o", str(out_file),
+            capsys, "render", "5,5,5,5,5,5,5,5,5,5", "--tiling", "0", "-o", str(out_file),
         )
         assert (code, err) == (0, "")
         assert out_file.read_text().startswith("<svg ")
 
-    def test_render_index_past_cap(self, capsys, tmp_path):
-        # render walks no search, so the cap is read and never met
+    def test_render_index_past_cap(self, capsys, monkeypatch, tmp_path):
+        # render walks no search, so it reads no cap and meets none
+        monkeypatch.setenv("SKEWCOUNT_CAP", "4")
         out_file = tmp_path / "x.svg"
-        code, _, err = run(capsys, "render", "2,1", "--tiling", "4", "--cap", "4",
-                           "-o", str(out_file))
+        code, _, err = run(capsys, "render", "2,1", "--tiling", "4", "-o", str(out_file))
         assert (code, err) == (0, "")
         assert out_file.read_text().startswith("<svg ")
 
@@ -736,11 +842,12 @@ class TestPastMaxsize:
         assert (code, out) == (2, "")
         assert err == f"error: tiling index {BIG} outside 0..4\n"
 
-    def test_tiling_index_past_the_cap(self, capsys, tmp_path):
+    def test_tiling_index_past_the_cap(self, capsys, monkeypatch, tmp_path):
         # C(80, 40) tilings, so the index is in range; no search runs, so no cap is met
+        monkeypatch.setenv("SKEWCOUNT_CAP", "1")
         shape = ",".join(["40"] * 40)
         out_file = tmp_path / "x.svg"
-        code, _, err = run(capsys, "render", shape, "--tiling", BIG, "--cap", "1", "-o", str(out_file))
+        code, _, err = run(capsys, "render", shape, "--tiling", BIG, "-o", str(out_file))
         assert (code, err) == (0, "")
         assert out_file.read_text().startswith("<svg ")
 
@@ -776,6 +883,23 @@ class TestDeepSearch:
         assert (code, out) == (2, "")
         assert err.startswith("error: shape too large to search") and err.count("\n") == 1
 
+    def test_depth_refusal_meets_the_walks_failure(self):
+        # fresh interpreters, at the CLI's own stack depth: a column of 3s is
+        # refused at one row count by each command, so a listing past the cap
+        # is refused as one under it is, and one row fewer still lists
+        def refused(rows, *argv):
+            done = run_process(argv[0], ",".join(["3"] * rows), *argv[1:])
+            return done.returncode == 2 and "too large to search" in done.stderr
+
+        lo, hi = 900, 1000  # refused at hi, not at lo
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if refused(mid, "enumerate", "paths", "--limit", "1") else (mid, hi)
+        for argv in (("enumerate", "paths"), ("count", "--method", "enum")):
+            assert refused(hi, *argv) and not refused(lo, *argv)
+        done = run_process("enumerate", ",".join(["3"] * lo), "paths", "--limit", "1")
+        assert (done.returncode, done.stdout.splitlines()[0]) == (0, "N" * lo + "EEE")
+
     def test_too_deep_to_search_still_draws(self, capsys, tmp_path):
         # render reads the tiling off a path, so a region no search could walk draws
         out_file = tmp_path / "x.svg"
@@ -803,6 +927,9 @@ class TestDeepSearch:
             pytest.param(("render", "200000", "--path", "N" + "E" * 200000), id="render-path"),
             pytest.param(("count", "10000000", "--method", "dp"), id="count-dp"),
             pytest.param(("enumerate", "10000000", "paths", "--limit", "1"), id="enumerate-paths"),
+            # two rows of one cell each pass dp's guard, but each path is 10^9 steps
+            pytest.param(("enumerate", "1000000000,1000000000/999999999,999999999", "paths"),
+                         id="enumerate-paths-wide-rows"),
             pytest.param(("count", ONES_3163), id="count-det"),
             pytest.param(("count", ONES_3163, "--method", "gv_det"), id="count-gv_det"),
             pytest.param(("count", NINES_20, "--method", "dp"), id="count-dp-long-parts"),
@@ -821,6 +948,11 @@ class TestDeepSearch:
         assert (code, out) == (2, "")
         assert err.startswith("error: shape too large:") and err.count("\n") == 1
         assert not out_file.exists()
+
+    def test_a_long_size_keeps_its_unit_and_limit(self, capsys):
+        code, out, err = run(capsys, "count", NINES_20, "--method", "dp")
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        assert "dp cells, past the limit of 10000000" in err and len(err.encode()) < 200
 
     @pytest.mark.parametrize(
         "argv",
@@ -873,12 +1005,14 @@ INPUT_POINTS = {
     "inner": ("inner part", lambda raw: ["count", f"3,2/{raw}"], False),
     "cap": ("--cap", lambda raw: ["count", "3,2,1", "--method", "enum", f"--cap={raw}"], False),
     "env-cap": ("SKEWCOUNT_CAP", lambda raw: ["count", "3,2,1", "--method", "enum"], True),
+    # render reads no cap: --cap is an unknown argument there, and a bad
+    # SKEWCOUNT_CAP leaves the line to the bad --tiling
     "render-path-cap": (
-        "--cap", lambda raw: ["render", "2,1", "--path", "NENE", f"--cap={raw}"], False,
+        "unrecognized arguments: --cap=",
+        lambda raw: ["render", "2,1", "--path", "NENE", f"--cap={raw}"],
+        False,
     ),
-    "render-path-env-cap": (
-        "SKEWCOUNT_CAP", lambda raw: ["render", "2,1", "--path", "NENE"], True,
-    ),
+    "render-path-env-cap": ("--tiling", lambda raw: ["render", "2,1", f"--tiling={raw}"], True),
     "limit": ("--limit", lambda raw: ["enumerate", "2,1", "paths", f"--limit={raw}"], False),
     "jobs": ("--jobs", lambda raw: ["verify", "1", f"--jobs={raw}"], False),
     "tiling": ("--tiling", lambda raw: ["render", "1", f"--tiling={raw}"], False),

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given
 
-from skewcount.errors import CapExceededError, InvariantError, count_leaves
+from skewcount.errors import InvariantError, count_leaves
 from skewcount.exact import det_exact
 from skewcount.gv import (
     GVConfig,
@@ -170,10 +170,6 @@ class TestDisjointFamilies:
                 shape = SkewShape(Partition(lam), Partition(mu))
                 config = gv_endpoints(shape)
                 assert len(enumerate_disjoint_families(config)) == gv_count(config)
-
-    def test_cap(self):
-        with pytest.raises(CapExceededError):
-            enumerate_disjoint_families(gv_endpoints(parse_shape("2,1")), cap=2)
 
     def test_matches_set_search_on_4x4_box(self):
         for lam in partitions_in_box(4, 4):

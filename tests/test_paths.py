@@ -1,10 +1,11 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from skewcount.errors import CapExceededError, ShapeError, WrongEndpointsError
+from skewcount.errors import ShapeError, WrongEndpointsError
 from skewcount.kreweras import kreweras_count
 from skewcount.paths import (
     LatticePath,
@@ -114,11 +115,6 @@ class TestEnumeratePaths:
         records = [p.north_xs() for p in enumerate_paths(parse_shape("3,3,1"))]
         assert records == sorted(records)
 
-    def test_cap(self):
-        with pytest.raises(CapExceededError) as err:
-            enumerate_paths(parse_shape("2,1"), cap=3)
-        assert err.value.cap == 3
-
 
 class TestCountDp:
     def test_examples(self):
@@ -168,6 +164,20 @@ class TestSuffixCounts:
         monkeypatch.setattr(SkewShape, "north_step_bounds", no_bounds)
         with pytest.raises(ShapeError, match="^shape too large: 10000001 dp cells, past"):
             suffix_counts(parse_shape("10000000"))
+
+    @pytest.mark.parametrize(
+        "text, count", [("10000000,10000000/9999999,9999999", 3), ("10000000,1/10000000", 2)]
+    )
+    def test_guard_counts_the_cells_it_adds(self, text, count):
+        # m + n = 4 and 3 cells on rows 10^7 wide: each row's prefix is clipped
+        # to its span, so no row of the width is built
+        tracemalloc.start()
+        try:
+            assert count_paths_dp(parse_shape(text)) == count
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 class TestCountMonotone:

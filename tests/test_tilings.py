@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given
 
 from skewcount.errors import (
-    CapExceededError,
     InvariantError,
     MalformedFamilyError,
     NotAdmissibleError,
@@ -298,10 +297,6 @@ class TestEnumerateTilings:
             covered = [t for loz in tiling.lozenges for t in lozenge_triangles(loz)]
             assert len(covered) == len(set(covered))
             assert set(covered) == present
-
-    def test_cap(self):
-        with pytest.raises(CapExceededError):
-            enumerate_tilings(parse_shape("2,2"), cap=3)
 
     def test_to_json_sorted(self):
         tiling = enumerate_tilings(HEXAGON)[0]
