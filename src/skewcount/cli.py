@@ -12,6 +12,7 @@ import sys
 import time
 from functools import partial
 from importlib import import_module
+from typing import Callable, NamedTuple
 
 from .errors import (
     CapExceededError, InvariantError, ShapeError, clip, count_leaves, format_count, take_leaves,
@@ -33,41 +34,51 @@ def _load(name: str):
     return import_module(f".{name}", __package__)
 
 
-def _search(listing, shape: SkewShape, cap: int, wanted: int | None = None, as_text=None) -> int:
-    """A search's leaves by the one cap rule: its listing runs its guards, then
-    ``wanted`` leaves (dp's count if None) past the cap raise, with no walk. A
-    count stops one leaf past the cap; a listing prints ``as_text`` of each leaf."""
-    walk, build = listing(shape)
+class Route(NamedTuple):
+    """A search's enumerate word ``what``, guarded ``listing(shape)`` (walk, leaf builder) and
+    ``as_text`` of an item, or a count's ``count(shape)``; verify skips an alias, a second name."""
+
+    what: str | None = None
+    listing: Callable | None = None
+    as_text: Callable | None = None
+    count: Callable | None = None
+    alias: bool = False
+
+
+def _run(route: Route, shape: SkewShape, cap: int, wanted: int | None = None, as_text=None) -> int:
+    """A route's count; a search's by the one cap rule: its listing runs its guards, then
+    ``wanted`` leaves (dp's count if None) past the cap raise, with no walk. A listing
+    prints ``as_text`` of each leaf; a count stops one leaf past the cap, and raises
+    there unless handed ``wanted``; a count builds no path, tiling or family."""
+    if route.listing is None:
+        return route.count(shape)
+    walk, build = route.listing(shape)
     if (count_paths_dp(shape) if wanted is None else wanted) > cap:
         raise CapExceededError(cap)
-    if as_text is None:
-        return count_leaves(walk, cap + 1)
-    return take_leaves(walk, lambda leaf: print(as_text(build(leaf))), wanted)
+    if as_text is not None:
+        return take_leaves(walk, lambda leaf: print(as_text(build(leaf))), wanted)
+    count = count_leaves(walk, cap + 1)
+    if wanted is None and count > cap:
+        raise CapExceededError(cap)
+    return count
 
 
-# enumerate's listings: what -> (the search's guarded walk and leaf builder from
-# a shape, one item as a text line); SEARCHES gives each its count method
-LISTINGS = {
-    "paths": (lambda shape: path_listing(shape), lambda p: p.steps),
-    "tilings": (
-        lambda shape: _load("tilings").tiling_listing(shape),
+# every route in verify's order, then the aliases: count --method's choices
+ROUTES = {
+    "det": Route(count=lambda shape: kreweras_count(shape)),
+    "dp": Route(count=lambda shape: count_paths_dp(shape)),
+    "enum": Route("paths", lambda shape: path_listing(shape), lambda p: p.steps),
+    "tilings": Route(
+        "tilings", lambda shape: _load("tilings").tiling_listing(shape),
         lambda t: " ".join(f"T{l.kind}({l.a},{l.b})" for l in t.sorted_lozenges()),
     ),
-    "families": (
-        lambda shape: _load("gv").family_listing(_load("gv").gv_endpoints(shape)),
+    "gv_enum": Route(
+        "families", lambda shape: _load("gv").family_listing(_load("gv").gv_endpoints(shape)),
         lambda f: " | ".join(f"({p.start[0]},{p.start[1]}):{p.steps}" for p in f.paths),
     ),
+    "gv_det": Route(count=lambda shape: _load("gv").gv_count(_load("gv").gv_endpoints(shape))),
 }
-SEARCHES = {"enum": "paths", "tilings": "tilings", "gv_enum": "families"}
-
-# every route, in verify's order; a search counts its walk's leaves and builds
-# no path, tiling or family, and verify hands it the dp route's count
-METHODS = {
-    "det": lambda shape, cap: kreweras_count(shape),
-    "dp": lambda shape, cap: count_paths_dp(shape),
-    **{name: partial(_search, LISTINGS[what][0]) for name, what in SEARCHES.items()},
-    "gv_det": lambda shape, cap: _load("gv").gv_count(_load("gv").gv_endpoints(shape)),
-}
+ROUTES["gv"] = ROUTES["gv_det"]._replace(alias=True)
 
 
 def _resolve_cap(args: argparse.Namespace) -> int:
@@ -79,12 +90,7 @@ def _resolve_cap(args: argparse.Namespace) -> int:
 
 def cmd_count(args: argparse.Namespace) -> int:
     shape = parse_shape(args.shape)
-    method = "gv_det" if args.method == "gv" else args.method
-    cap = _resolve_cap(args)
-    count = METHODS[method](shape, cap)
-    if method in SEARCHES and count > cap:  # a walk past dp's count, ended past the cap
-        raise CapExceededError(cap)
-    print(format_count(count))
+    print(format_count(_run(ROUTES[args.method], shape, _resolve_cap(args))))
     return 0
 
 
@@ -98,10 +104,13 @@ def _verify_one(shape: SkewShape, cap: int) -> dict:
 
     counts = {}
     elapsed = {}
-    for name, count in METHODS.items():
+    for name, route in ROUTES.items():
+        if route.alias:
+            continue
         t0 = time.perf_counter()
         try:
-            counts[name] = count(shape, cap, counts["dp"]) if name in SEARCHES else count(shape, cap)
+            # a search is handed dp's count, so dp counts once a shape
+            counts[name] = _run(route, shape, cap, counts.get("dp"))
         except CapExceededError:
             counts[name] = None
         elapsed[name] = round((time.perf_counter() - t0) * 1000.0, 3)
@@ -221,7 +230,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     shape = parse_shape(args.shape)
     cap = _resolve_cap(args)
     limit = None if args.limit is None else parse_integer(args.limit, "--limit", 0)
-    listing, as_text = LISTINGS[args.what]
+    route = next(route for route in ROUTES.values() if route.what == args.what)
+    as_text = route.as_text
     # the dp count fixes how many items print, and the cap judges that number,
     # before anything is walked; each item prints at its leaf, the last ends the walk
     total = count_paths_dp(shape)
@@ -232,7 +242,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
         as_text = lambda item: json.dumps(item.to_json(), sort_keys=True)
         marker = json.dumps({"truncated": True, "shown": shown, "total": total})
-    printed = _search(listing, shape, cap, shown, as_text)
+    printed = _run(route, shape, cap, shown, as_text)
     if printed != shown:  # short of dp's count; for families, Gessel-Viennot fails
         raise InvariantError(f"{args.what} of {format_shape(shape)}: {printed}, not dp's {total}")
     if shown < total:
@@ -290,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("shape", help='shape text, e.g. "9,7,6,2/3,1"')
     p.add_argument(
         "--method",
-        choices=(*METHODS, "gv"),
+        choices=ROUTES,
         default="det",
         help="counting method (default det; gv is gv_det)",
     )
@@ -313,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list paths, tilings, or disjoint families")
     p.add_argument("shape")
-    p.add_argument("what", choices=LISTINGS)
+    p.add_argument("what", choices=[route.what for route in ROUTES.values() if route.what])
     p.add_argument("--limit", default=None, metavar="K",
                    help="show at most K items, with a truncation marker")
     p.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")

@@ -40,6 +40,11 @@ def run_process(*argv, timeout=20):
     return run_python("-m", "skewcount.cli", *argv, timeout=timeout)
 
 
+def verified():
+    """The routes verify runs, in its order: every row of the route table but the aliases."""
+    return [name for name, route in cli.ROUTES.items() if not route.alias]
+
+
 class TestCount:
     @pytest.mark.parametrize("method", ["det", "dp", "enum", "tilings", "gv"])
     def test_methods_agree(self, capsys, method):
@@ -269,7 +274,7 @@ class TestVerify:
         assert first["shape"] == "2,1" and last["shape"] == "2,2"
         assert first["agree"] and last["agree"]
         assert (capped["shape"], capped["agree"], set(capped["elapsed_ms"])) == (
-            "9,7,6,2/3,1", True, set(cli.METHODS)
+            "9,7,6,2/3,1", True, set(verified())
         )
         assert capped["counts"] == {"det": "399", "dp": "399", "enum": "capped",
                                     "tilings": "capped", "gv_enum": "capped", "gv_det": "399"}
@@ -324,12 +329,12 @@ ROUTES_LOADED = LOADED.format(
 FIRST_ROUTE = """
 import sys
 from skewcount import cli
-det = cli.METHODS["det"]
+det = cli.ROUTES["det"]
 seen = []
-def probe(shape, cap):
+def probe(shape):
     seen.append("skewcount.tilings" in sys.modules)
-    return det(shape, cap)
-cli.METHODS["det"] = probe
+    return det.count(shape)
+cli.ROUTES["det"] = det._replace(count=probe)
 cli.main(["verify", "2,1"])
 print(seen[0])
 """
@@ -615,7 +620,7 @@ class TestOneCapRule:
         code, out, err = run(capsys, "verify", BOX_12)
         assert (code, err) == (3, "error: enumeration exceeded cap of 1000000 items\n")
         report = json.loads(out)
-        assert report["agree"] and set(report["elapsed_ms"]) == set(cli.METHODS)
+        assert report["agree"] and set(report["elapsed_ms"]) == set(verified())
         assert report["counts"] == {"det": "2704156", "dp": "2704156", "enum": "capped",
                                     "tilings": "capped", "gv_enum": "capped", "gv_det": "2704156"}
 
@@ -663,7 +668,7 @@ class TestOneCapRule:
 
 
 class TestMethodTable:
-    @pytest.mark.parametrize("method", [*cli.METHODS, "gv"])
+    @pytest.mark.parametrize("method", list(cli.ROUTES))
     def test_every_method_counts(self, capsys, method):
         code, out, _ = run(capsys, "count", "2,1", "--method", method)
         assert code == 0
@@ -673,8 +678,8 @@ class TestMethodTable:
         code, out, _ = run(capsys, "verify", "2,1")
         assert code == 0
         report = json.loads(out)
-        assert list(cli.METHODS) == ["det", "dp", "enum", "tilings", "gv_enum", "gv_det"]
-        assert set(report["counts"]) == set(cli.METHODS)
+        assert verified() == ["det", "dp", "enum", "tilings", "gv_enum", "gv_det"]
+        assert set(report["counts"]) == set(verified())
 
     def test_count_routes_build_no_items(self, monkeypatch):
         def no_item(*args):
@@ -696,12 +701,35 @@ class TestMethodTable:
         monkeypatch.setattr(tilings, "_row_spans", lambda shape: spans.append(1) or row_spans(shape))
         shape = cli.parse_shape("7,7,6,5,4/3,2")
         for method in ("enum", "tilings", "gv_enum"):
-            assert cli.METHODS[method](shape, cli.DEFAULT_CAP) == 680
+            assert cli._run(cli.ROUTES[method], shape, cli.DEFAULT_CAP) == 680
         assert len(spans) == 1
         # the listings build items, so the patches bite
-        for listing, _ in cli.LISTINGS.values():
+        for listing in [route.listing for route in cli.ROUTES.values() if route.listing]:
             with pytest.raises(AssertionError, match="built an item"):
                 cli.take_leaves(*listing(shape), 1)
+
+    def test_one_row_reaches_every_consumer(self, capsys, monkeypatch):
+        # a count row, and a second search of the paths under its own enumerate word
+        monkeypatch.setitem(cli.ROUTES, "dp_again", cli.Route(count=cli.count_paths_dp))
+        monkeypatch.setitem(cli.ROUTES, "enum_again", cli.ROUTES["enum"]._replace(what="steps"))
+        for method in ("dp_again", "enum_again"):
+            assert run(capsys, "count", "2,1", "--method", method) == (0, "5\n", "")
+        code, out, _ = run(capsys, "enumerate", "2,1", "steps")
+        assert (code, len(out.splitlines())) == (0, 5)
+        assert out == run(capsys, "enumerate", "2,1", "paths")[1]
+        code, out, _ = run(capsys, "verify", "2,1")
+        report = json.loads(out)
+        assert (code, report["agree"]) == (0, True)
+        assert (report["counts"]["dp_again"], report["counts"]["enum_again"]) == ("5", "5")
+        assert set(report["elapsed_ms"]) == set(verified()) >= {"dp_again", "enum_again"}
+
+    def test_verify_counts_dp_once_a_shape(self, capsys, monkeypatch):
+        # each search is handed the dp route's count, so none counts it again
+        calls = []
+        count = cli.count_paths_dp
+        monkeypatch.setattr(cli, "count_paths_dp", lambda shape: calls.append(1) or count(shape))
+        code, _, _ = run(capsys, "verify", "2,1", "3,2,1")
+        assert (code, len(calls)) == (0, 2)
 
     @pytest.mark.parametrize("method", ["enum", "tilings", "gv_enum"])
     def test_cap_counts_leaves(self, capsys, method):
