@@ -56,8 +56,10 @@ def drive(walk: Callable[[Callable], None], visit: Callable) -> None:
     """Run ``walk(visit)``: the one place a search is run.
 
     A search is a walk that calls ``visit(leaf)`` at each of its leaves in
-    order. The searches recurse once per lozenge, path step or row, so a walk
-    too deep for Python's recursion limit raises the one-line ShapeError here.
+    order. The searches recurse once per lozenge, path step or row, and
+    :func:`check_depth` refuses one too deep before it starts. This catch is
+    the backstop for a caller whose own stack is deeper than that guard's
+    allowance, ``SEARCH_FRAMES``: its walk raises the same one-line ShapeError.
     """
     try:
         walk(visit)
@@ -109,21 +111,17 @@ def _too_deep() -> ShapeError:
     )
 
 
-# the frames a walk adds beyond its depth, counted from a listing's guard: the
-# calls down to the walk and the CLI's visitor at a leaf, which builds an item
-# and prints it as text (measured on Python 3.11). A JSON line takes 2 more, so
-# in the 2 depths below the refusal such a listing ends in drive's own refusal
-WALK_FRAMES = 11
+# the frames a search may find on the stack beyond its depth: the CLI's
+# deepest listing, JSON under `python -m`, takes 21 on Python 3.11 with its
+# printing, and the rest is slack, so a frame more or less on the way down
+# moves no refusal
+SEARCH_FRAMES = 32
 
 
 def check_depth(depth: int) -> None:
-    """Raise :func:`drive`'s too-deep ShapeError up front for a search this deep,
-    walked from the caller: the frames already on the stack count, and
-    ``WALK_FRAMES`` more, so it refuses at the depth where the walk would fail."""
-    frames, frame = 0, sys._getframe(1)
-    while frame is not None:
-        frames, frame = frames + 1, frame.f_back
-    if frames + depth + WALK_FRAMES > sys.getrecursionlimit():
+    """Raise :func:`drive`'s too-deep ShapeError up front for a search this deep:
+    one that, with ``SEARCH_FRAMES`` more, passes the recursion limit."""
+    if depth + SEARCH_FRAMES > sys.getrecursionlimit():
         raise _too_deep()
 
 

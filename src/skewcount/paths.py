@@ -65,8 +65,7 @@ class LatticePath(NamedTuple("LatticePath", [("start", Point), ("steps", str)]))
         return tuple(rec)
 
     def to_json(self) -> dict:
-        return {"start": list(self.start), "steps": self.steps,
-                "vertices": [list(v) for v in self.vertices()]}
+        return {"start": list(self.start), "steps": self.steps}
 
 
 def path_from_north_record(record: tuple[int, ...], width: int) -> LatticePath:

@@ -11,7 +11,7 @@ import pytest
 import skewcount
 import skewcount.cli as cli
 from skewcount.cli import main
-from skewcount.errors import InvariantError
+from skewcount.errors import SEARCH_FRAMES, InvariantError
 
 
 def run(capsys, *argv):
@@ -449,8 +449,8 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "1", "paths", "--format", "json")
         assert code == 0
         items = [json.loads(line) for line in out.splitlines()]
-        assert [p["steps"] for p in items] == ["NE", "EN"]
-        assert items[0]["vertices"] == [[0, 0], [0, 1], [1, 1]]
+        # a line holds the start and the steps, which give every vertex
+        assert items == [{"start": [0, 0], "steps": "NE"}, {"start": [0, 0], "steps": "EN"}]
 
     def test_json_truncation(self, capsys):
         code, out, _ = run(capsys, "enumerate", "2,1", "paths", "--limit", "2", "--format", "json")
@@ -888,6 +888,16 @@ ONES_3163 = ",".join(["1"] * 3163)
 NINES_20 = ",".join(["9" * 4300] * 20)
 
 
+# runs the CLI 10 frames below the script's own
+WRAPPED_MAIN = """
+import sys
+from skewcount import cli
+def wrap(k):
+    return cli.main(sys.argv[1:]) if k == 0 else wrap(k - 1)
+sys.exit(wrap(9))
+"""
+
+
 class TestDeepSearch:
     """The searches recurse once per lozenge, path step or row; past Python's
     recursion limit that is bad input (exit 2), not a traceback."""
@@ -911,22 +921,34 @@ class TestDeepSearch:
         assert (code, out) == (2, "")
         assert err.startswith("error: shape too large to search") and err.count("\n") == 1
 
-    def test_depth_refusal_meets_the_walks_failure(self):
-        # fresh interpreters, at the CLI's own stack depth: a column of 3s is
-        # refused at one row count by each command, so a listing past the cap
-        # is refused as one under it is, and one row fewer still lists
-        def refused(rows, *argv):
-            done = run_process(argv[0], ",".join(["3"] * rows), *argv[1:])
-            return done.returncode == 2 and "too large to search" in done.stderr
+    def test_refusal_row_ignores_the_callers_stack(self):
+        # fresh interpreters, run as `python -m` and as a script that calls main
+        # under 10 frames of its own: in either format, each lists the column of
+        # 3s that is SEARCH_FRAMES rows short of the recursion limit, and
+        # refuses one row more
+        def column(rows):
+            return ",".join(["3"] * rows)
 
-        lo, hi = 900, 1000  # refused at hi, not at lo
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if refused(mid, "enumerate", "paths", "--limit", "1") else (mid, hi)
+        def first_path(launch, rows, fmt):
+            done = run_python(*launch, "enumerate", column(rows), "paths", "--limit", "1",
+                              "--format", fmt)
+            if done.returncode != 0:
+                return done.returncode, done.stdout, done.stderr
+            item = done.stdout.splitlines()[0]
+            return 0, item if fmt == "text" else json.loads(item)["steps"], done.stderr
+
+        limit = int(run_python("-c", "import sys; print(sys.getrecursionlimit())").stdout)
+        rows = limit - SEARCH_FRAMES
+        for launch in (("-m", "skewcount.cli"), ("-c", WRAPPED_MAIN)):
+            for fmt in ("text", "json"):
+                assert first_path(launch, rows, fmt) == (0, "N" * rows + "EEE", "")
+                code, out, err = first_path(launch, rows + 1, fmt)
+                assert (code, out, err.count("\n")) == (2, "", 1)
+                assert err.startswith("error: shape too large to search")
+        # the depth guard comes before the cap: one row short is past the cap
         for argv in (("enumerate", "paths"), ("count", "--method", "enum")):
-            assert refused(hi, *argv) and not refused(lo, *argv)
-        done = run_process("enumerate", ",".join(["3"] * lo), "paths", "--limit", "1")
-        assert (done.returncode, done.stdout.splitlines()[0]) == (0, "N" * lo + "EEE")
+            assert run_process(argv[0], column(rows), *argv[1:]).returncode == 3
+            assert run_process(argv[0], column(rows + 1), *argv[1:]).returncode == 2
 
     def test_too_deep_to_search_still_draws(self, capsys, tmp_path):
         # render reads the tiling off a path, so a region no search could walk draws

@@ -64,6 +64,8 @@ class TestIntMatrix:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             IntMatrix(2, 2, (1, 2, 3))
+        with pytest.raises(ValueError, match="nonnegative"):
+            IntMatrix(-1, 0, ())
         with pytest.raises(ValueError):
             IntMatrix.from_rows([[1, 2], [3]])
 

@@ -48,7 +48,7 @@ class TestLatticePath:
 
     def test_to_json(self):
         j = LatticePath((1, 2), "N").to_json()
-        assert j == {"start": [1, 2], "steps": "N", "vertices": [[1, 2], [1, 3]]}
+        assert j == {"start": [1, 2], "steps": "N"}
 
 
 class TestNorthRecord:

@@ -207,6 +207,8 @@ class TestGeometry:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             lozenge_triangles(Lozenge(4, 0, 0))
+        with pytest.raises(ValueError, match="unknown lozenge kind 4"):
+            lozenge_corners(Lozenge(4, 0, 0))
 
 
 class TestRegion:
@@ -470,6 +472,12 @@ class TestChainExtraction:
         with pytest.raises(ValueError):
             extract_family(Tiling(frozenset()), "d")
 
+    def test_two_lozenges_through_one_side(self):
+        # a T1 and a T3 at (0, 0) share a triangle, so no tiling holds both
+        tiling = Tiling(frozenset({Lozenge(T1, 0, 0), Lozenge(T3, 0, 0)}))
+        with pytest.raises(InvariantError, match="two lozenges enter through"):
+            extract_family(tiling, "b")
+
     @pytest.mark.parametrize("direction, unit", [("a", (1, -1)), ("b", (0, 1)), ("c", (1, 0))])
     def test_side_keys_name_sides_of_the_lozenge(self, direction, unit):
         # the table against lozenge_corners: a key names the unit segment from
@@ -622,6 +630,11 @@ class TestMalformedFamilies:
         chain = ((Lozenge(T2, 1, -1),),)
         with pytest.raises(MalformedFamilyError):
             family_A_to_lattice_path(RhombusPathFamily("a", chain + chain))
+
+    def test_too_few_chains(self):
+        # a "b" family has one chain per row
+        with pytest.raises(MalformedFamilyError, match="expected 2 chains, got 0"):
+            family_B_to_z2_paths(RhombusPathFamily("b", ()), parse_shape("2,1"))
 
     def test_broken_chain(self):
         family = RhombusPathFamily("a", ((Lozenge(T2, 1, -1), Lozenge(T3, 5, 5)),))
