@@ -24,7 +24,6 @@ from .shapes import (
 )
 
 DEFAULT_CAP = 1_000_000
-CAP_ENV = "SKEWCOUNT_CAP"
 
 # the lazy-import rule: a command loads `gv` and `tilings` through _load only
 # when it runs them (and `json` and the process pool only where it uses them),
@@ -36,13 +35,12 @@ def _load(name: str):
 
 class Route(NamedTuple):
     """A search's enumerate word ``what``, guarded ``listing(shape)`` (walk, leaf builder) and
-    ``as_text`` of an item, or a count's ``count(shape)``; verify skips an alias, a second name."""
+    ``as_text`` of an item, or a count's ``count(shape)``."""
 
     what: str | None = None
     listing: Callable | None = None
     as_text: Callable | None = None
     count: Callable | None = None
-    alias: bool = False
 
 
 def _run(route: Route, shape: SkewShape, cap: int, wanted: int | None = None, as_text=None) -> int:
@@ -63,7 +61,7 @@ def _run(route: Route, shape: SkewShape, cap: int, wanted: int | None = None, as
     return count
 
 
-# every route in verify's order, then the aliases: count --method's choices
+# every route, each under one name, in verify's order: count --method's choices
 ROUTES = {
     "det": Route(count=lambda shape: kreweras_count(shape)),
     "dp": Route(count=lambda shape: count_paths_dp(shape)),
@@ -78,19 +76,12 @@ ROUTES = {
     ),
     "gv_det": Route(count=lambda shape: _load("gv").gv_count(_load("gv").gv_endpoints(shape))),
 }
-ROUTES["gv"] = ROUTES["gv_det"]._replace(alias=True)
-
-
-def _resolve_cap(args: argparse.Namespace) -> int:
-    if args.cap is not None:
-        return parse_integer(args.cap, "--cap", 0)
-    raw = os.environ.get(CAP_ENV)
-    return DEFAULT_CAP if raw is None else parse_integer(raw, CAP_ENV, 0)
 
 
 def cmd_count(args: argparse.Namespace) -> int:
     shape = parse_shape(args.shape)
-    print(format_count(_run(ROUTES[args.method], shape, _resolve_cap(args))))
+    cap = parse_integer(args.cap, "--cap", 0)
+    print(format_count(_run(ROUTES[args.method], shape, cap)))
     return 0
 
 
@@ -105,8 +96,6 @@ def _verify_one(shape: SkewShape, cap: int) -> dict:
     counts = {}
     elapsed = {}
     for name, route in ROUTES.items():
-        if route.alias:
-            continue
         t0 = time.perf_counter()
         try:
             # a search is handed dp's count, so dp counts once a shape
@@ -179,12 +168,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         raise ShapeError("nothing to verify: give shapes or --box AxB")
     jobs = parse_integer(args.jobs, "--jobs", 1)
-    cap = _resolve_cap(args)
+    cap = parse_integer(args.cap, "--cap", 0)
     if args.box:
         shapes = _box_sweep(*sides, cap)
     # a pool forks all its workers when it is made, so never ask for more
-    # than there are shapes or CPUs
-    workers = min(jobs, len(shapes), os.cpu_count() or 1)
+    # than there are shapes or CPUs this process may run on
+    workers = min(jobs, len(shapes), _usable_cpus())
     if workers > 1:
         import multiprocessing
 
@@ -212,6 +201,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on: the size of its affinity mask where the
+    platform keeps one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _emit_reports(reports) -> tuple[dict | None, bool]:
     """Print each report line; return the first that disagrees, and whether any was capped."""
     import json
@@ -228,7 +225,7 @@ def _emit_reports(reports) -> tuple[dict | None, bool]:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     shape = parse_shape(args.shape)
-    cap = _resolve_cap(args)
+    cap = parse_integer(args.cap, "--cap", 0)
     limit = None if args.limit is None else parse_integer(args.limit, "--limit", 0)
     route = next(route for route in ROUTES.values() if route.what == args.what)
     as_text = route.as_text
@@ -272,9 +269,9 @@ def cmd_render(args: argparse.Namespace) -> int:
 def _add_cap(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cap",
-        default=None,
+        default=str(DEFAULT_CAP),
         metavar="N",
-        help=f"enumeration item cap (default {DEFAULT_CAP}, or ${CAP_ENV})",
+        help=f"enumeration item cap (default {DEFAULT_CAP})",
     )
 
 
@@ -302,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=ROUTES,
         default="det",
-        help="counting method (default det; gv is gv_det)",
+        help="counting method (default det)",
     )
     _add_cap(p)
     p.set_defaults(func=cmd_count)

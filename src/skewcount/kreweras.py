@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .errors import MAX_MATRIX_ENTRIES, InvariantError, check_size
 from .exact import IntMatrix, binomial, det_hessenberg
-from .shapes import SkewShape
+from .shapes import SkewShape, format_shape
 
 
 def kreweras_matrix(shape: SkewShape) -> IntMatrix:
@@ -36,6 +36,6 @@ def kreweras_count(shape: SkewShape) -> int:
     value = det_hessenberg(kreweras_matrix(shape))
     # the determinant counts paths, so a negative value means a convention bug
     if value < 0:
-        raise InvariantError(f"negative path count {value} for {shape}")
+        raise InvariantError(f"negative path count {value} for {format_shape(shape)}")
     return value
 

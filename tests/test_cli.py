@@ -40,13 +40,19 @@ def run_process(*argv, timeout=20):
     return run_python("-m", "skewcount.cli", *argv, timeout=timeout)
 
 
-def verified():
-    """The routes verify runs, in its order: every row of the route table but the aliases."""
-    return [name for name, route in cli.ROUTES.items() if not route.alias]
+def set_cpus(monkeypatch, cpus):
+    """Let this process run on `cpus` CPUs; for None, on a platform that keeps no
+    affinity mask and cannot count its CPUs."""
+    if cpus is None:
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
 
 
 class TestCount:
-    @pytest.mark.parametrize("method", ["det", "dp", "enum", "tilings", "gv"])
+    @pytest.mark.parametrize("method", ["det", "dp", "enum", "tilings", "gv_det"])
     def test_methods_agree(self, capsys, method):
         code, out, _ = run(capsys, "count", "2,1", "--method", method)
         assert code == 0
@@ -86,16 +92,12 @@ class TestCount:
         assert code == 3
         assert "cap" in err
 
-    def test_env_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("SKEWCOUNT_CAP", "2")
-        code, _, _ = run(capsys, "count", "3,2,1", "--method", "enum")
-        assert code == 3
-
-    def test_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("SKEWCOUNT_CAP", "2")
-        code, out, _ = run(capsys, "count", "3,2,1", "--method", "enum", "--cap", "100")
-        assert code == 0
-        assert out == "14\n"
+    def test_gv_is_no_method(self, capsys):
+        # gv_det is the one name of the Gessel-Viennot determinant
+        code, out, err = run(capsys, "count", "2,1", "--method", "gv")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: skewcount count: argument --method: invalid choice: 'gv' ")
+        assert err.count("\n") == 1
 
     def test_non_ascii_digit_shape(self, capsys):
         code, out, err = run(capsys, "count", "+3,\u0663")
@@ -109,18 +111,6 @@ class TestCount:
         assert code == 2
         assert out == ""
         assert err == "error: --cap must be at least 0, got -5\n"
-
-    def test_negative_env_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("SKEWCOUNT_CAP", "-5")
-        code, _, err = run(capsys, "count", "3,2,1", "--method", "enum")
-        assert code == 2
-        assert err == "error: SKEWCOUNT_CAP must be at least 0, got -5\n"
-
-    def test_bad_env_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("SKEWCOUNT_CAP", "lots")
-        code, _, err = run(capsys, "count", "1", "--method", "enum")
-        assert code == 2
-        assert "SKEWCOUNT_CAP" in err
 
     def test_count_past_the_digit_limit_prints_whole(self, capsys):
         # C(10^100 + 50, 50) has 4,936 digits, past the 4,300 that str() converts
@@ -258,7 +248,7 @@ class TestVerify:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_cap_error_line(self, capsys, monkeypatch, jobs):
         # two CPUs, so --jobs 2 runs a real pool, which pickles the error back
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        set_cpus(monkeypatch, 2)
         code, _, err = run(capsys, "verify", "3,2,1", "2,1", "--cap", "2", "--jobs", jobs)
         assert (code, err) == (3, "error: enumeration exceeded cap of 2 items\n")
 
@@ -266,7 +256,7 @@ class TestVerify:
     def test_capped_shape_gets_a_line_and_the_sweep_goes_on(self, capsys, monkeypatch, jobs):
         # 2,1 has 5 paths, 9,7,6,2/3,1 has 399 and 2,2 has 6: only the middle one
         # passes 10, and its report compares the counts that finished
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        set_cpus(monkeypatch, 2)
         code, out, err = run(capsys, "verify", "2,1", "9,7,6,2/3,1", "2,2", "--cap", "10",
                              "--jobs", jobs)
         assert (code, err) == (3, "error: enumeration exceeded cap of 10 items\n")
@@ -274,7 +264,7 @@ class TestVerify:
         assert first["shape"] == "2,1" and last["shape"] == "2,2"
         assert first["agree"] and last["agree"]
         assert (capped["shape"], capped["agree"], set(capped["elapsed_ms"])) == (
-            "9,7,6,2/3,1", True, set(verified())
+            "9,7,6,2/3,1", True, set(cli.ROUTES)
         )
         assert capped["counts"] == {"det": "399", "dp": "399", "enum": "capped",
                                     "tilings": "capped", "gv_enum": "capped", "gv_det": "399"}
@@ -282,7 +272,7 @@ class TestVerify:
     def test_worker_error_crosses_the_pool(self, capsys, monkeypatch):
         # 99999 is too deep to search: a real pool re-raises the worker's
         # ShapeError after the 2,1 report, as the serial loop raises it
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        set_cpus(monkeypatch, 2)
         results = []
         for jobs in ["1", "2"]:
             code, out, err = run(capsys, "verify", "2,1", "99999", "--jobs", jobs)
@@ -354,7 +344,6 @@ class TestImportBudget:
                     ("tilings", ["skewcount.tilings"]),
                     ("gv_enum", ["skewcount.gv"]),
                     ("gv_det", ["skewcount.gv"]),
-                    ("gv", ["skewcount.gv"]),
                 ]
             ),
             # json is loaded only to write JSON: by verify, and by --format json
@@ -584,8 +573,7 @@ class TestRender:
         assert err == "error: skewcount: unrecognized arguments: --cap 5\n"
         assert not out_file.exists()
 
-    def test_cap_variable_is_not_read(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("SKEWCOUNT_CAP", "-1")
+    def test_cap_variable_is_not_read(self, capsys, tmp_path):
         for pick in (["--tiling", "0"], ["--path", "NENE"]):
             out_file = tmp_path / "x.svg"
             assert run(capsys, "render", "2,1", *pick, "-o", str(out_file)) == (0, "", "")
@@ -620,7 +608,7 @@ class TestOneCapRule:
         code, out, err = run(capsys, "verify", BOX_12)
         assert (code, err) == (3, "error: enumeration exceeded cap of 1000000 items\n")
         report = json.loads(out)
-        assert report["agree"] and set(report["elapsed_ms"]) == set(verified())
+        assert report["agree"] and set(report["elapsed_ms"]) == set(cli.ROUTES)
         assert report["counts"] == {"det": "2704156", "dp": "2704156", "enum": "capped",
                                     "tilings": "capped", "gv_enum": "capped", "gv_det": "2704156"}
 
@@ -678,8 +666,8 @@ class TestMethodTable:
         code, out, _ = run(capsys, "verify", "2,1")
         assert code == 0
         report = json.loads(out)
-        assert verified() == ["det", "dp", "enum", "tilings", "gv_enum", "gv_det"]
-        assert set(report["counts"]) == set(verified())
+        assert list(cli.ROUTES) == ["det", "dp", "enum", "tilings", "gv_enum", "gv_det"]
+        assert set(report["counts"]) == set(cli.ROUTES)
 
     def test_count_routes_build_no_items(self, monkeypatch):
         def no_item(*args):
@@ -721,7 +709,7 @@ class TestMethodTable:
         report = json.loads(out)
         assert (code, report["agree"]) == (0, True)
         assert (report["counts"]["dp_again"], report["counts"]["enum_again"]) == ("5", "5")
-        assert set(report["elapsed_ms"]) == set(verified()) >= {"dp_again", "enum_again"}
+        assert set(report["elapsed_ms"]) == set(cli.ROUTES) >= {"dp_again", "enum_again"}
 
     def test_verify_counts_dp_once_a_shape(self, capsys, monkeypatch):
         # each search is handed the dp route's count, so none counts it again
@@ -824,9 +812,8 @@ class TestStreaming:
         assert (code, err) == (0, "")
         assert out_file.read_text().startswith("<svg ")
 
-    def test_render_index_past_cap(self, capsys, monkeypatch, tmp_path):
+    def test_render_index_past_cap(self, capsys, tmp_path):
         # render walks no search, so it reads no cap and meets none
-        monkeypatch.setenv("SKEWCOUNT_CAP", "4")
         out_file = tmp_path / "x.svg"
         code, _, err = run(capsys, "render", "2,1", "--tiling", "4", "-o", str(out_file))
         assert (code, err) == (0, "")
@@ -870,9 +857,8 @@ class TestPastMaxsize:
         assert (code, out) == (2, "")
         assert err == f"error: tiling index {BIG} outside 0..4\n"
 
-    def test_tiling_index_past_the_cap(self, capsys, monkeypatch, tmp_path):
+    def test_tiling_index_past_the_cap(self, capsys, tmp_path):
         # C(80, 40) tilings, so the index is in range; no search runs, so no cap is met
-        monkeypatch.setenv("SKEWCOUNT_CAP", "1")
         shape = ",".join(["40"] * 40)
         out_file = tmp_path / "x.svg"
         code, _, err = run(capsys, "render", shape, "--tiling", BIG, "-o", str(out_file))
@@ -1049,26 +1035,34 @@ def bad_integer_line(name: str, raw: str) -> str:
 
 
 # every point where the CLI reads an integer: (the name its error line gives,
-# the argv for a raw text, whether the raw text goes in SKEWCOUNT_CAP instead)
+# the argv for a raw text)
 INPUT_POINTS = {
-    "outer": ("outer part", lambda raw: ["count", raw], False),
-    "inner": ("inner part", lambda raw: ["count", f"3,2/{raw}"], False),
-    "cap": ("--cap", lambda raw: ["count", "3,2,1", "--method", "enum", f"--cap={raw}"], False),
-    "env-cap": ("SKEWCOUNT_CAP", lambda raw: ["count", "3,2,1", "--method", "enum"], True),
-    # render reads no cap: --cap is an unknown argument there, and a bad
-    # SKEWCOUNT_CAP leaves the line to the bad --tiling
+    "outer": ("outer part", lambda raw: ["count", raw]),
+    "inner": ("inner part", lambda raw: ["count", f"3,2/{raw}"]),
+    "cap": ("--cap", lambda raw: ["count", "3,2,1", "--method", "enum", f"--cap={raw}"]),
+    # render reads no cap: --cap is an unknown argument there
     "render-path-cap": (
         "unrecognized arguments: --cap=",
         lambda raw: ["render", "2,1", "--path", "NENE", f"--cap={raw}"],
-        False,
     ),
-    "render-path-env-cap": ("--tiling", lambda raw: ["render", "2,1", f"--tiling={raw}"], True),
-    "limit": ("--limit", lambda raw: ["enumerate", "2,1", "paths", f"--limit={raw}"], False),
-    "jobs": ("--jobs", lambda raw: ["verify", "1", f"--jobs={raw}"], False),
-    "tiling": ("--tiling", lambda raw: ["render", "1", f"--tiling={raw}"], False),
-    "box-rows": ("--box side", lambda raw: ["verify", f"--box={raw}x2"], False),
-    "box-cols": ("--box side", lambda raw: ["verify", f"--box=2x{raw}"], False),
+    "limit": ("--limit", lambda raw: ["enumerate", "2,1", "paths", f"--limit={raw}"]),
+    "jobs": ("--jobs", lambda raw: ["verify", "1", f"--jobs={raw}"]),
+    "tiling": ("--tiling", lambda raw: ["render", "1", f"--tiling={raw}"]),
+    "box-rows": ("--box side", lambda raw: ["verify", f"--box={raw}x2"]),
+    "box-cols": ("--box side", lambda raw: ["verify", f"--box=2x{raw}"]),
 }
+
+# commands that read --cap: a count route, a search under and past the flag's
+# cap, verify and enumerate; and render, which reads none
+CAP_READERS = [
+    ["count", "3,2,1"],
+    ["count", "3,2,1", "--method", "enum"],
+    ["count", "3,2,1", "--method", "enum", "--cap", "2"],
+    ["count", "3,2,1", "--method", "enum", "--cap", "100"],
+    ["verify", "3,2,1"],
+    ["enumerate", "3,2,1", "paths"],
+    ["render", "2,1", "--path", "NENE"],
+]
 
 # usage errors that argparse finds, and which print main's line all the same;
 # the last three echo a long word, which the line clips
@@ -1145,26 +1139,46 @@ class TestIntegerFlags:
         assert err.count("\n") == 1
         assert not out_file.exists()
 
-    @pytest.mark.parametrize("raw", BAD_INTEGERS)
-    def test_bad_env_cap(self, capsys, monkeypatch, raw):
+    @pytest.mark.parametrize(
+        "raw",
+        [*BAD_INTEGERS, "-1", pytest.param("-" + NINES, id="-4000-digits"), "2", "lots"],
+    )
+    def test_bad_env_cap(self, capsys, monkeypatch, tmp_path, raw):
+        # --cap alone sets the cap: SKEWCOUNT_CAP changes nothing, whether it holds
+        # a cap the searches pass, a negative one or no integer
+        out_file = tmp_path / "x.svg"
+
+        def outcomes():
+            got = []
+            for argv in CAP_READERS:
+                if argv[0] == "render":
+                    argv = [*argv, "-o", str(out_file)]
+                code, out, err = run(capsys, *argv)
+                if argv[0] == "verify":
+                    out = [{k: v for k, v in json.loads(line).items() if k != "elapsed_ms"}
+                           for line in out.splitlines()]
+                elif argv[0] == "render":
+                    out = out_file.read_bytes()
+                got.append((code, out, err))
+            return got
+
+        monkeypatch.delenv("SKEWCOUNT_CAP", raising=False)
+        unset = outcomes()
+        past_the_flag = (3, "", "error: enumeration exceeded cap of 2 items\n")
+        assert unset[1:3] == [(0, "14\n", ""), past_the_flag]
         monkeypatch.setenv("SKEWCOUNT_CAP", raw)
-        code, _, err = run(capsys, "count", "1", "--method", "enum")
-        assert code == 2
-        assert err.startswith(bad_integer_line("SKEWCOUNT_CAP", raw))
-        assert err.count("\n") == 1
+        assert outcomes() == unset
 
     @pytest.mark.parametrize(
         "raw", [*BAD_INTEGERS, "-1", pytest.param("-" + NINES, id="-4000-digits")]
     )
     @pytest.mark.parametrize("point", INPUT_POINTS)
-    def test_every_input_point(self, capsys, monkeypatch, tmp_path, point, raw):
-        name, argv, in_env = INPUT_POINTS[point]
+    def test_every_input_point(self, capsys, tmp_path, point, raw):
+        name, argv = INPUT_POINTS[point]
         out_file = tmp_path / "x.svg"
         argv = argv(raw)
         if argv[0] == "render":
             argv += ["-o", str(out_file)]
-        if in_env:
-            monkeypatch.setenv("SKEWCOUNT_CAP", raw)
         assert_one_error_line(*run(capsys, *argv), name=name)
         assert not out_file.exists()
 
@@ -1198,11 +1212,8 @@ class TestIntegerFlags:
         assert err == "error: --tiling must be at least 0, got -1\n"
 
     @pytest.mark.parametrize("raw", [" 14 ", "14", "014", "\t14\n"])
-    def test_whitespace_and_leading_zeros(self, capsys, monkeypatch, raw):
+    def test_whitespace_and_leading_zeros(self, capsys, raw):
         code, out, _ = run(capsys, "count", "3,2,1", "--method", "enum", "--cap", raw)
-        assert (code, out) == (0, "14\n")
-        monkeypatch.setenv("SKEWCOUNT_CAP", raw)
-        code, out, _ = run(capsys, "count", "3,2,1", "--method", "enum")
         assert (code, out) == (0, "14\n")
 
     @pytest.mark.parametrize("raw", [" 1 ", "01", "\t1\n"])
@@ -1331,7 +1342,7 @@ class TestJobsClamp:
         [
             (3, ["--box", "2x2"], [3]),  # 20 shapes: the CPU count binds
             (8, ["1", "2,1"], [2]),  # 2 shapes: the shape count binds
-            (None, ["--box", "2x2"], []),  # unknown CPU count: serial, no pool
+            (None, ["--box", "2x2"], []),  # no mask and no CPU count: serial, no pool
             (1, ["--box", "2x2"], []),
         ],
     )
@@ -1339,7 +1350,7 @@ class TestJobsClamp:
         # cli imports the pool class inside the parallel branch, at call time
         monkeypatch.setattr("multiprocessing.Pool", FakePool)
         monkeypatch.setattr(FakePool, "sizes", [])
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        set_cpus(monkeypatch, cpus)
         code, out, _ = run(capsys, "verify", *targets, "--jobs", "100000")
         assert code == 0
         assert FakePool.sizes == sizes
@@ -1358,8 +1369,17 @@ class TestJobsClamp:
         monkeypatch.setattr("multiprocessing.Pool", FakePool)
         monkeypatch.setattr(FakePool, "sizes", [])
         monkeypatch.setattr(FakePool, "chunks", [])
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        set_cpus(monkeypatch, cpus)
         code, out, _ = run(capsys, "verify", "--box", box, "--jobs", str(cpus))
         assert code == 0
         assert len(out.splitlines()) == shapes
         assert (FakePool.sizes, FakePool.chunks) == ([cpus], [chunk])
+
+    def test_an_affinity_of_one_cpu_starts_no_pool(self, capsys, monkeypatch):
+        # two CPUs in the machine, one in the mask that `taskset -c 0` sets: serial
+        monkeypatch.setattr("multiprocessing.Pool", FakePool)
+        monkeypatch.setattr(FakePool, "sizes", [])
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        set_cpus(monkeypatch, 1)
+        code, out, _ = run(capsys, "verify", "--box", "2x2", "--jobs", "2")
+        assert (code, len(out.splitlines()), FakePool.sizes) == (0, 20, [])

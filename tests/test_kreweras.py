@@ -129,8 +129,11 @@ def test_staircase_200_is_catalan():
 
 def test_negative_count_raises(monkeypatch):
     monkeypatch.setattr(kreweras, "det_hessenberg", lambda m: -1)
-    with pytest.raises(InvariantError, match="negative path count"):
+    # the message names the shape in its text form, as every other message does
+    with pytest.raises(InvariantError, match="^negative path count -1 for 2,1$"):
         kreweras_count(parse_shape("2,1"))
+    with pytest.raises(InvariantError, match="^negative path count -1 for 3,2/1$"):
+        kreweras_count(parse_shape("3,2/1"))
 
 
 def test_negative_count_raises_under_optimize():
