@@ -92,6 +92,21 @@ class TestCount:
         assert code == 3
         assert "cap" in err
 
+    def test_env_cap(self, capsys, monkeypatch):
+        # --cap alone sets the cap: a SKEWCOUNT_CAP below the 14 paths stops nothing
+        monkeypatch.setenv("SKEWCOUNT_CAP", "2")
+        code, out, err = run(capsys, "count", "3,2,1", "--method", "enum")
+        assert (code, out, err) == (0, "14\n", "")
+
+    def test_flag_overrides_env(self, capsys, monkeypatch):
+        # the flag decides whatever the variable holds, above or below the count
+        monkeypatch.setenv("SKEWCOUNT_CAP", "2")
+        code, out, _ = run(capsys, "count", "3,2,1", "--method", "enum", "--cap", "100")
+        assert (code, out) == (0, "14\n")
+        monkeypatch.setenv("SKEWCOUNT_CAP", "100")
+        code, out, err = run(capsys, "count", "3,2,1", "--method", "enum", "--cap", "2")
+        assert (code, out, err) == (3, "", "error: enumeration exceeded cap of 2 items\n")
+
     def test_gv_is_no_method(self, capsys):
         # gv_det is the one name of the Gessel-Viennot determinant
         code, out, err = run(capsys, "count", "2,1", "--method", "gv")
@@ -111,6 +126,12 @@ class TestCount:
         assert code == 2
         assert out == ""
         assert err == "error: --cap must be at least 0, got -5\n"
+
+    def test_negative_env_cap(self, capsys, monkeypatch):
+        # a negative SKEWCOUNT_CAP is no error, as the variable is not read
+        monkeypatch.setenv("SKEWCOUNT_CAP", "-5")
+        code, out, err = run(capsys, "count", "3,2,1", "--method", "enum")
+        assert (code, out, err) == (0, "14\n", "")
 
     def test_count_past_the_digit_limit_prints_whole(self, capsys):
         # C(10^100 + 50, 50) has 4,936 digits, past the 4,300 that str() converts
@@ -1035,21 +1056,27 @@ def bad_integer_line(name: str, raw: str) -> str:
 
 
 # every point where the CLI reads an integer: (the name its error line gives,
-# the argv for a raw text)
+# the argv for a raw text, whether the raw text also goes in SKEWCOUNT_CAP)
 INPUT_POINTS = {
-    "outer": ("outer part", lambda raw: ["count", raw]),
-    "inner": ("inner part", lambda raw: ["count", f"3,2/{raw}"]),
-    "cap": ("--cap", lambda raw: ["count", "3,2,1", "--method", "enum", f"--cap={raw}"]),
-    # render reads no cap: --cap is an unknown argument there
+    "outer": ("outer part", lambda raw: ["count", raw], False),
+    "inner": ("inner part", lambda raw: ["count", f"3,2/{raw}"], False),
+    "cap": ("--cap", lambda raw: ["count", "3,2,1", "--method", "enum", f"--cap={raw}"], False),
+    # SKEWCOUNT_CAP is not read, so a bad one leaves the line to the bad --limit,
+    # which enumerate reads after its cap
+    "env-cap": ("--limit", lambda raw: ["enumerate", "2,1", "paths", f"--limit={raw}"], True),
+    # render reads no cap: --cap is an unknown argument there, and a bad
+    # SKEWCOUNT_CAP leaves the line to the bad --tiling
     "render-path-cap": (
         "unrecognized arguments: --cap=",
         lambda raw: ["render", "2,1", "--path", "NENE", f"--cap={raw}"],
+        False,
     ),
-    "limit": ("--limit", lambda raw: ["enumerate", "2,1", "paths", f"--limit={raw}"]),
-    "jobs": ("--jobs", lambda raw: ["verify", "1", f"--jobs={raw}"]),
-    "tiling": ("--tiling", lambda raw: ["render", "1", f"--tiling={raw}"]),
-    "box-rows": ("--box side", lambda raw: ["verify", f"--box={raw}x2"]),
-    "box-cols": ("--box side", lambda raw: ["verify", f"--box=2x{raw}"]),
+    "render-path-env-cap": ("--tiling", lambda raw: ["render", "2,1", f"--tiling={raw}"], True),
+    "limit": ("--limit", lambda raw: ["enumerate", "2,1", "paths", f"--limit={raw}"], False),
+    "jobs": ("--jobs", lambda raw: ["verify", "1", f"--jobs={raw}"], False),
+    "tiling": ("--tiling", lambda raw: ["render", "1", f"--tiling={raw}"], False),
+    "box-rows": ("--box side", lambda raw: ["verify", f"--box={raw}x2"], False),
+    "box-cols": ("--box side", lambda raw: ["verify", f"--box=2x{raw}"], False),
 }
 
 # commands that read --cap: a count route, a search under and past the flag's
@@ -1173,12 +1200,14 @@ class TestIntegerFlags:
         "raw", [*BAD_INTEGERS, "-1", pytest.param("-" + NINES, id="-4000-digits")]
     )
     @pytest.mark.parametrize("point", INPUT_POINTS)
-    def test_every_input_point(self, capsys, tmp_path, point, raw):
-        name, argv = INPUT_POINTS[point]
+    def test_every_input_point(self, capsys, monkeypatch, tmp_path, point, raw):
+        name, argv, in_env = INPUT_POINTS[point]
         out_file = tmp_path / "x.svg"
         argv = argv(raw)
         if argv[0] == "render":
             argv += ["-o", str(out_file)]
+        if in_env:
+            monkeypatch.setenv("SKEWCOUNT_CAP", raw)
         assert_one_error_line(*run(capsys, *argv), name=name)
         assert not out_file.exists()
 
@@ -1238,17 +1267,26 @@ class TestIntegerFlags:
 
 
 # runs the CLI with a byte written to the file argv[1] for each shape verify
-# starts; pool workers are forked from it, so their shapes count too
+# starts; pool workers are forked from it, so their shapes count too. A process
+# starts no shape past its first 1,212, a chunk of the 5x5 sweep, until the file
+# argv[2] exists (or 30 s have passed): the reader makes it once it has left, so
+# a reader that is slow to leave lets no worker run on meanwhile
 COUNTED = """
-import os, sys
+import os, sys, time
 from skewcount import cli
 log = os.open(sys.argv[1], os.O_WRONLY | os.O_APPEND)
 verify_one = cli._verify_one
+started = 0
 def counted(shape, cap):
+    global started
+    started += 1
+    deadline = time.monotonic() + 30
+    while started > 1212 and not os.path.exists(sys.argv[2]) and time.monotonic() < deadline:
+        time.sleep(0.01)
     os.write(log, b".")
     return verify_one(shape, cap)
 cli._verify_one = counted
-sys.exit(cli.main(sys.argv[2:]))
+sys.exit(cli.main(sys.argv[3:]))
 """
 
 
@@ -1271,16 +1309,18 @@ class TestClosedStdout:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_verify_stops_when_the_reader_leaves(self, tmp_path, jobs):
         # `verify --box 5x5 | head -1`: the sweep holds 19,404 shapes
-        log, err = tmp_path / "started", tmp_path / "err"
+        log, left, err = tmp_path / "started", tmp_path / "left", tmp_path / "err"
         log.touch()
+        argv = ["verify", "--box", "5x5", "--jobs", jobs]
         with err.open("wb") as err_file:
             proc = subprocess.Popen(
-                [sys.executable, "-c", COUNTED, str(log), "verify", "--box", "5x5", "--jobs", jobs],
+                [sys.executable, "-c", COUNTED, str(log), str(left), *argv],
                 env=package_env(), stdout=subprocess.PIPE, stderr=err_file,
             )
         try:
             first = proc.stdout.readline()
             proc.stdout.close()
+            left.touch()
             code = proc.wait(timeout=60)
         finally:
             proc.kill()
