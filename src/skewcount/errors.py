@@ -56,8 +56,8 @@ def drive(walk: Callable[[Callable], None], visit: Callable) -> None:
     """Run ``walk(visit)``: the one place a search is run.
 
     A search is a walk that calls ``visit(leaf)`` at each of its leaves in
-    order. The searches recurse once per lozenge, path step or row, and
-    :func:`check_depth` refuses one too deep before it starts. This catch is
+    order. The searches recurse once per row, lozenge or row a path crosses,
+    and :func:`check_depth` refuses one too deep before it starts. This catch is
     the backstop for a caller whose own stack is deeper than that guard's
     allowance, ``SEARCH_FRAMES``: its walk raises the same one-line ShapeError.
     """

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 from .errors import MAX_MATRIX_ENTRIES, InvariantError, check_depth, check_size, list_leaves
 from .exact import IntMatrix, det_exact
-from .paths import STEP_EAST, STEP_NORTH, LatticePath, Point, count_monotone
+from .paths import LatticePath, Point, count_monotone, path_from_north_record
 from .shapes import SkewShape
 
 
@@ -71,28 +71,29 @@ def gv_count(config: GVConfig) -> int:
     return det_exact(gv_matrix(config))
 
 
-def walk_families(config: GVConfig, visit: Callable[[dict[int, int]], None]) -> None:
-    """Call ``visit(occupied)`` at each pairwise vertex-disjoint family, any end
-    permutation, brute force: ``occupied`` maps each vertex a path of the
-    family visits, by its id (see :func:`_id_width`), to that path's index.
+def walk_families(config: GVConfig, visit: Callable[[list[list[int]]], None]) -> None:
+    """Call ``visit(records)`` at each pairwise vertex-disjoint family, any end
+    permutation, brute force: ``records[k]`` is the north record of path k, the
+    x of each of its north steps, bottom-up.
 
     The leaf is live: the walk changes it as it goes on, so a visitor that
     keeps it copies it. Counting the leaves builds no path.
 
-    Paths grow north first and stop at an occupied vertex, so families come
-    in ascending north-record order; a family not pairing start i with end i
-    raises InvariantError. The walk recurses once per path step: run it
-    through :func:`~skewcount.errors.drive`.
+    A path entering row y at x holds the run [x, c] of that row, which must
+    miss every run an earlier path holds there; below its end's row it steps
+    north at c, each c tried lowest first, and in its end's row the run must
+    reach the end. So families come in ascending north-record order; a family
+    not pairing start i with end i raises InvariantError. The walk recurses
+    once per row a path crosses: run it through :func:`~skewcount.errors.drive`.
 
     Built once per configuration, before the walk: the ends each start is
     the last to reach, so that no start picks an end that leaves one unused.
-    Occupancy holds only the vertices of the paths grown so far, never a table
-    of the configuration's bounding box.
+    Occupancy holds one run per row a path grown so far crosses, never a
+    table of the configuration's bounding box.
     """
     n = config.n
     starts, ends = config.starts, config.ends
     identity = list(range(n))
-    width = _id_width(config)
     # stranded[k]: the ends that no start from k on can reach, as start k - 1
     # was the last that could (stranded[0]: those no start reaches)
     stranded: list[list[int]] = [[] for _ in range(n + 1)]
@@ -101,17 +102,16 @@ def walk_families(config: GVConfig, visit: Callable[[dict[int, int]], None]) -> 
         stranded[last + 1].append(j)
     used_ends = [False] * n
     pairing: list[int] = []
-    occupied: dict[int, int] = {}
+    records: list[list[int]] = []
+    held: dict[int, list[tuple[int, int]]] = {}  # row -> the runs paths hold in it
 
     def place(k: int) -> None:
         # paths 0..k-1 are grown; start path k
         if k == n:
             if pairing != identity:
                 paired = tuple(ends[j] for j in pairing)
-                raise InvariantError(
-                    f"non-identity family {_read_family(starts, paired, width, occupied)}"
-                )
-            visit(occupied)
+                raise InvariantError(f"non-identity family {_read_family(starts, paired, records)}")
+            visit(records)
             return
         sx, sy = starts[k]
         for j, (ex, ey) in enumerate(ends):
@@ -124,67 +124,59 @@ def walk_families(config: GVConfig, visit: Callable[[dict[int, int]], None]) -> 
                         break
                 else:
                     pairing.append(j)
-                    grow(k, sy * width + sx, ex - sx, ey - sy)
+                    records.append([])
+                    grow(k, sx, sy, ex, ey)
+                    records.pop()
                     pairing.pop()
                 used_ends[j] = False
 
-    def grow(k: int, v: int, east: int, north: int) -> None:
-        # path k enters vertex v with `east` and `north` steps still to take
-        if v in occupied:
+    def grow(k: int, x: int, y: int, ex: int, ey: int) -> None:
+        # path k enters row y at x; its run there may reach `last`, short of the next held run
+        runs = held.setdefault(y, [])
+        last = ex
+        for a, b in runs:
+            if a <= x <= b:
+                return
+            if x < a <= last:
+                last = a - 1
+        if y == ey:
+            if last == ex:
+                runs.append((x, ex))
+                place(k + 1)
+                runs.pop()
             return
-        occupied[v] = k
-        if north:
-            grow(k, v + width, east, north - 1)
-            if east:
-                grow(k, v + 1, east - 1, north)
-        elif east:
-            grow(k, v + 1, east - 1, north)
-        else:
-            place(k + 1)
-        del occupied[v]
+        record = records[k]
+        for c in range(x, last + 1):
+            runs.append((x, c))
+            record.append(c)
+            grow(k, c, y + 1, ex, ey)
+            record.pop()
+            runs.pop()
 
     if not stranded[0]:  # an end no start reaches: no family
         place(0)
 
 
-def _id_width(config: GVConfig) -> int:
-    # vertex (x, y) has id y * width + x: a path's x runs from its start's to its
-    # end's, so every x lies among the width values from the leftmost start to
-    # the rightmost end, and ids are distinct
-    starts, ends = config.starts, config.ends
-    return max((x for x, _ in ends), default=0) - min((x for x, _ in starts), default=0) + 1
-
-
 def _read_family(
-    starts: tuple[Point, ...], ends: tuple[Point, ...], width: int, occupied: dict[int, int]
+    starts: tuple[Point, ...], ends: tuple[Point, ...], records: list[list[int]]
 ) -> PathFamily:
-    """The family whose path k runs from starts[k] to ends[k] through the
-    vertices ``occupied`` gives to k: from each vertex it steps N when the
-    vertex above is k's, else E (a monotone path never holds both)."""
-    paths = []
-    for k, ((sx, sy), (ex, ey)) in enumerate(zip(starts, ends)):
-        v, east, north = sy * width + sx, ex - sx, ey - sy
-        steps = []
-        while east or north:
-            if north and occupied.get(v + width) == k:
-                steps.append(STEP_NORTH)
-                v, north = v + width, north - 1
-            else:
-                steps.append(STEP_EAST)
-                v, east = v + 1, east - 1
-        paths.append(LatticePath((sx, sy), "".join(steps)))
-    return PathFamily(tuple(paths))
+    """The family whose path k runs from starts[k] to ends[k] with north record records[k]."""
+    return PathFamily(tuple(
+        path_from_north_record(tuple(c - sx for c in record), ex - sx)._replace(start=(sx, sy))
+        for (sx, sy), (ex, _), record in zip(starts, ends, records)
+    ))
 
 
-def family_listing(config: GVConfig) -> tuple[Callable, Callable[[dict[int, int]], PathFamily]]:
+def family_listing(config: GVConfig) -> tuple[Callable, Callable[[list[list[int]]], PathFamily]]:
     """The family walk of the configuration, and the builder of a family from its
-    leaf. Its leaves lie at least a frame a path step and a start deep (every
-    pairing takes the same steps), so past the recursion limit it is refused here."""
-    starts, ends, width = config.starts, config.ends, _id_width(config)
+    leaf. The walk recurses once per row a path crosses, yet a listing is still
+    judged at a frame a path step and a start (every pairing takes the same
+    steps), so past the recursion limit it is refused here."""
+    starts, ends = config.starts, config.ends
     check_depth(sum(ex - sx + ey - sy for (sx, sy), (ex, ey) in zip(starts, ends)) + config.n)
     return (
         partial(walk_families, config),
-        lambda occupied: _read_family(starts, ends, width, occupied),
+        lambda records: _read_family(starts, ends, records),
     )
 
 

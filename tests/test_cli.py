@@ -594,7 +594,7 @@ class TestRender:
         assert err == "error: skewcount: unrecognized arguments: --cap 5\n"
         assert not out_file.exists()
 
-    def test_cap_variable_is_not_read(self, capsys, tmp_path):
+    def test_both_picks_draw(self, capsys, tmp_path):
         for pick in (["--tiling", "0"], ["--path", "NENE"]):
             out_file = tmp_path / "x.svg"
             assert run(capsys, "render", "2,1", *pick, "-o", str(out_file)) == (0, "", "")
@@ -617,8 +617,6 @@ class TestOneCapRule:
 
         for target in WALKS:
             monkeypatch.setattr(target, no_walk)
-        # and wherever a `from` import may bind the name
-        monkeypatch.setattr(cli, "walk_paths", no_walk, raising=False)
 
     @pytest.mark.parametrize("method", ["enum", "tilings", "gv_enum"])
     def test_count_past_the_cap_walks_nothing(self, capsys, no_walk, method):
@@ -906,8 +904,9 @@ sys.exit(wrap(9))
 
 
 class TestDeepSearch:
-    """The searches recurse once per lozenge, path step or row; past Python's
-    recursion limit that is bad input (exit 2), not a traceback."""
+    """The searches are judged by their rows, lozenges, or path steps plus
+    starts; past Python's recursion limit that is bad input (exit 2), not a
+    traceback."""
 
     @pytest.mark.parametrize(
         "argv",

@@ -18,6 +18,7 @@ from skewcount.gv import (
 from skewcount.kreweras import kreweras_count, kreweras_matrix
 from skewcount.paths import LatticePath, count_monotone
 from skewcount.shapes import Partition, SkewShape, parse_shape, partitions_in_box, subpartitions
+from test_cli import run_python
 from test_kreweras import skew_shapes
 
 
@@ -163,6 +164,23 @@ class TestDisjointFamilies:
         assert [[p.steps for p in f.paths] for f in families] == [
             ["NE", "NE"], ["NE", "EN"], ["EN", "NE"], ["EN", "EN"]
         ]
+
+    def test_walk_recurses_once_per_row_a_path_crosses(self):
+        # two paths of 201 and 301 steps cross two rows each, so the walk stays
+        # inside a recursion limit of 60 that a frame a path step would pass
+        done = run_python("-c", (
+            "import sys\n"
+            "from functools import partial\n"
+            "from skewcount.errors import count_leaves\n"
+            "from skewcount.gv import gv_endpoints, walk_families\n"
+            "from skewcount.paths import count_paths_dp\n"
+            "from skewcount.shapes import parse_shape\n"
+            "shape = parse_shape('300,300/100')\n"
+            "sys.setrecursionlimit(60)\n"
+            "print(count_leaves(partial(walk_families, gv_endpoints(shape)), None),"
+            " count_paths_dp(shape))\n"
+        ))
+        assert (done.returncode, done.stdout, done.stderr) == (0, "40401 40401\n", "")
 
     def test_count_matches_determinant_on_sweep(self):
         for lam in partitions_in_box(2, 3):
