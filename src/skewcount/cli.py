@@ -15,10 +15,11 @@ from importlib import import_module
 from typing import Callable, NamedTuple
 
 from .errors import (
-    CapExceededError, InvariantError, ShapeError, clip, count_leaves, format_count, take_leaves,
+    CapExceededError, InvariantError, ShapeError, clip, count_leaves, format_count, judge,
+    take_leaves,
 )
 from .kreweras import kreweras_count
-from .paths import LatticePath, count_paths_dp, path_listing
+from .paths import LatticePath, count_paths_dp
 from .shapes import (
     SkewShape, format_shape, parse_integer, parse_shape, partitions_in_box, subpartitions,
 )
@@ -34,8 +35,8 @@ def _load(name: str):
 
 
 class Route(NamedTuple):
-    """A search's enumerate word ``what``, guarded ``listing(shape)`` (walk, leaf builder) and
-    ``as_text`` of an item, or a count's ``count(shape)``."""
+    """A search's enumerate word ``what``, ``listing(shape)`` (walk, leaf builder, budget)
+    and ``as_text`` of an item, or a count's ``count(shape)``."""
 
     what: str | None = None
     listing: Callable | None = None
@@ -44,15 +45,13 @@ class Route(NamedTuple):
 
 
 def _run(route: Route, shape: SkewShape, cap: int, wanted: int | None = None, as_text=None) -> int:
-    """A route's count; a search's by the one cap rule: its listing runs its guards, then
-    ``wanted`` leaves (dp's count if None) past the cap raise, with no walk. A listing
-    prints ``as_text`` of each leaf; a count stops one leaf past the cap, and raises
-    there unless handed ``wanted``; a count builds no path, tiling or family."""
+    """A route's count; a search's once :func:`judge` has passed its budget for ``wanted``
+    leaves (dp's count if None). A listing prints ``as_text`` of each leaf; a count stops
+    one leaf past the cap, raises there unless handed ``wanted``, and builds no item."""
     if route.listing is None:
         return route.count(shape)
-    walk, build = route.listing(shape)
-    if (count_paths_dp(shape) if wanted is None else wanted) > cap:
-        raise CapExceededError(cap)
+    items = lambda: count_paths_dp(shape) if wanted is None else wanted
+    walk, build = judge(route.listing(shape), cap, items, 0 if as_text is None else wanted)
     if as_text is not None:
         return take_leaves(walk, lambda leaf: print(as_text(build(leaf))), wanted)
     count = count_leaves(walk, cap + 1)
@@ -65,7 +64,7 @@ def _run(route: Route, shape: SkewShape, cap: int, wanted: int | None = None, as
 ROUTES = {
     "det": Route(count=lambda shape: kreweras_count(shape)),
     "dp": Route(count=lambda shape: count_paths_dp(shape)),
-    "enum": Route("paths", lambda shape: path_listing(shape), lambda p: p.steps),
+    "enum": Route("paths", lambda shape: _load("paths").path_listing(shape), lambda p: p.steps),
     "tilings": Route(
         "tilings", lambda shape: _load("tilings").tiling_listing(shape),
         lambda t: " ".join(f"T{l.kind}({l.a},{l.b})" for l in t.sorted_lozenges()),
@@ -229,8 +228,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     limit = None if args.limit is None else parse_integer(args.limit, "--limit", 0)
     route = next(route for route in ROUTES.values() if route.what == args.what)
     as_text = route.as_text
-    # the dp count fixes how many items print, and the cap judges that number,
-    # before anything is walked; each item prints at its leaf, the last ends the walk
+    # dp's count fixes how many items print, judged before any walk; each prints at its leaf
     total = count_paths_dp(shape)
     shown = total if limit is None else min(limit, total)
     marker = f"... truncated: showing {shown} of {total}"

@@ -1,7 +1,7 @@
 """Exception types shared across the library, the driver of the searches and their guards."""
 
 import sys
-from typing import Callable
+from typing import Callable, NamedTuple
 
 
 class SkewCountError(Exception):
@@ -57,7 +57,7 @@ def drive(walk: Callable[[Callable], None], visit: Callable) -> None:
 
     A search is a walk that calls ``visit(leaf)`` at each of its leaves in
     order. The searches recurse once per row, lozenge or row a path crosses,
-    and :func:`check_depth` refuses one too deep before it starts. This catch is
+    and :func:`judge` refuses one too deep before it starts. This catch is
     the backstop for a caller whose own stack is deeper than that guard's
     allowance, ``SEARCH_FRAMES``: its walk raises the same one-line ShapeError.
     """
@@ -104,25 +104,38 @@ def clip(text: str, limit: int = 40) -> str:
     return text if len(text) <= limit else f"{text[:limit]}..."
 
 
+def _too_large(reason: str) -> ShapeError:
+    """Every guard's refusal: a search too deep, or a size past its limit."""
+    return ShapeError(f"shape too large{reason}")
+
+
 def _too_deep() -> ShapeError:
-    return ShapeError(
-        f"shape too large to search: deeper than Python's recursion limit "
-        f"of {sys.getrecursionlimit()}"
-    )
+    limit = sys.getrecursionlimit()
+    return _too_large(f" to search: deeper than Python's recursion limit of {limit}")
 
 
 # the frames a search may find on the stack beyond its depth: the CLI's
-# deepest listing, JSON under `python -m`, takes 21 on Python 3.11 with its
+# deepest listing, families under `python -m`, takes 22 on Python 3.11 with its
 # printing, and the rest is slack, so a frame more or less on the way down
 # moves no refusal
 SEARCH_FRAMES = 32
 
+# a search's cost, read off its shape before it walks: the frames its walk
+# takes down to a leaf, and the characters of one item's text, at least
+Budget = NamedTuple("Budget", [("depth", int), ("item", int)])
 
-def check_depth(depth: int) -> None:
-    """Raise :func:`drive`'s too-deep ShapeError up front for a search this deep:
-    one that, with ``SEARCH_FRAMES`` more, passes the recursion limit."""
-    if depth + SEARCH_FRAMES > sys.getrecursionlimit():
+
+def judge(listing: tuple, cap: int | None = None, items: Callable | None = None, shown: int = 0):
+    """A listing's walk and builder once its budget passes, in one order: its depth and
+    ``SEARCH_FRAMES`` within the recursion limit, ``items()`` within the cap, then the
+    text of ``shown`` items within ``MAX_OUTPUT_CHARS``. The library meets the first."""
+    walk, build, budget = listing
+    if budget.depth + SEARCH_FRAMES > sys.getrecursionlimit():
         raise _too_deep()
+    if cap is not None and items() > cap:
+        raise CapExceededError(cap)
+    check_size(shown * budget.item, MAX_OUTPUT_CHARS, "output characters")
+    return walk, build
 
 
 # Sizes past which a route refuses a shape before it allocates for it. A region
@@ -130,19 +143,20 @@ def check_depth(depth: int) -> None:
 # takes about 7 s and writes 34 MB; `dp` adds m + n counts. A listed path is a
 # string of width + n steps: 3 of 10,000,002 list in 1.1 s at 34 MB peak RSS.
 # `det` and `gv_det` build n^2 matrix entries; `count` of 3,162 rows of 1 takes 3 s, 94 MB.
+# A listing prints each item at its leaf, so its output costs time: 10^8 characters
+# take 0.9 s as `enumerate 9999 paths` (15 MB) and 12.5 s as tilings of 30 rows of 30.
 MAX_REGION_LOZENGES = 200_000
 MAX_DP_CELLS = 10_000_000
 MAX_PATH_STEPS = 20_000_000
 MAX_MATRIX_ENTRIES = 10_000_000
+MAX_OUTPUT_CHARS = 100_000_000
 
 
 def check_size(size: int, limit: int, unit: str) -> None:
     """Raise ShapeError, naming both numbers, if size is past limit; the size is
     clipped, so the line keeps its unit and the limit however long the size."""
     if size > limit:
-        raise ShapeError(
-            f"shape too large: {clip(format_count(size))} {unit}, past the limit of {limit}"
-        )
+        raise _too_large(f": {clip(format_count(size))} {unit}, past the limit of {limit}")
 
 
 def format_count(count: int) -> str:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, NamedTuple
 
-from .errors import MAX_MATRIX_ENTRIES, InvariantError, check_depth, check_size, list_leaves
+from .errors import MAX_MATRIX_ENTRIES, Budget, InvariantError, check_size, judge, list_leaves
 from .exact import IntMatrix, det_exact
 from .paths import LatticePath, Point, count_monotone, path_from_north_record
 from .shapes import SkewShape
@@ -167,19 +167,16 @@ def _read_family(
     ))
 
 
-def family_listing(config: GVConfig) -> tuple[Callable, Callable[[list[list[int]]], PathFamily]]:
-    """The family walk of the configuration, and the builder of a family from its
-    leaf. The walk recurses once per row a path crosses, yet a listing is still
-    judged at a frame a path step and a start (every pairing takes the same
-    steps), so past the recursion limit it is refused here."""
+def family_listing(config: GVConfig) -> tuple[Callable, Callable[..., PathFamily], Budget]:
+    """The family walk, a builder of a family from its leaf, and the budget: a frame a north
+    step and two a path, and "(x,y):" and steps a path, the same for every pairing of ends."""
     starts, ends = config.starts, config.ends
-    check_depth(sum(ex - sx + ey - sy for (sx, sy), (ex, ey) in zip(starts, ends)) + config.n)
-    return (
-        partial(walk_families, config),
-        lambda records: _read_family(starts, ends, records),
-    )
+    north = sum(ey - sy for (_, sy), (_, ey) in zip(starts, ends))
+    steps = north + sum(ex - sx for (sx, _), (ex, _) in zip(starts, ends))
+    build = lambda records: _read_family(starts, ends, records)
+    return partial(walk_families, config), build, Budget(north + 2 * config.n, steps + 6 * config.n)
 
 
 def enumerate_disjoint_families(config: GVConfig) -> list[PathFamily]:
     """All pairwise vertex-disjoint families as a list, in ascending north-record order."""
-    return list_leaves(*family_listing(config))
+    return list_leaves(*judge(family_listing(config)))

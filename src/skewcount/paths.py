@@ -12,7 +12,7 @@ from functools import partial
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import (
-    MAX_DP_CELLS, MAX_PATH_STEPS, ShapeError, WrongEndpointsError, check_depth, check_size,
+    MAX_DP_CELLS, MAX_PATH_STEPS, Budget, ShapeError, WrongEndpointsError, check_size, judge,
     list_leaves,
 )
 from .exact import binomial
@@ -129,18 +129,18 @@ def walk_paths(shape: SkewShape, visit: Callable[[list[int]], None]) -> None:
     go(0, 0)
 
 
-def path_listing(shape: SkewShape) -> tuple[Callable, Callable[[list[int]], LatticePath]]:
-    """The path walk of the shape, and the builder of a path from its leaf. A
-    walk too deep for the recursion limit, or paths too long, are refused at the call."""
-    check_size(shape.width + shape.n, MAX_PATH_STEPS, "path steps")
-    check_depth(shape.n)
-    width = shape.width
-    return partial(walk_paths, shape), lambda rec: path_from_north_record(rec, width)
+def path_listing(shape: SkewShape) -> tuple[Callable, Callable[[list[int]], LatticePath], Budget]:
+    """The path walk of the shape, the builder of a path from its leaf, and the budget:
+    a frame a row, and width + n steps a path, past ``MAX_PATH_STEPS`` refused here."""
+    width, steps = shape.width, shape.width + shape.n
+    check_size(steps, MAX_PATH_STEPS, "path steps")
+    build = lambda rec: path_from_north_record(rec, width)
+    return partial(walk_paths, shape), build, Budget(shape.n, steps)
 
 
 def enumerate_paths(shape: SkewShape) -> list[LatticePath]:
     """All admissible paths of the shape, ordered lexicographically by north record."""
-    return list_leaves(*path_listing(shape))
+    return list_leaves(*judge(path_listing(shape)))
 
 
 def suffix_counts(shape: SkewShape) -> Iterator[list[int]]:

@@ -35,15 +35,8 @@ from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from .errors import (
-    MAX_DP_CELLS,
-    MAX_REGION_LOZENGES,
-    InvariantError,
-    MalformedFamilyError,
-    NotAdmissibleError,
-    ShapeError,
-    check_depth,
-    check_size,
-    list_leaves,
+    MAX_DP_CELLS, MAX_REGION_LOZENGES, Budget, InvariantError, MalformedFamilyError,
+    NotAdmissibleError, ShapeError, check_size, judge, list_leaves,
 )
 from .paths import (
     STEP_EAST, STEP_NORTH, LatticePath, is_admissible, path_from_north_record, suffix_counts,
@@ -222,11 +215,9 @@ def walk_tilings(shape: SkewShape, visit: Callable[[list[int]], None]) -> None:
     is covered whenever its triangle is the first uncovered one. That leaves
     T1 for an UP triangle, and T2 and T3 for a DOWN one. ``cover`` marks both
     triangles of a chosen lozenge with its kind, and 0 an uncovered one. The
-    walk recurses once per lozenge, so a region of more lozenges than the
-    recursion limit is a ShapeError before the table is built; run the walk
-    through :func:`~skewcount.errors.drive`.
+    walk recurses once per lozenge, as :func:`tiling_listing`'s budget counts:
+    run it through :func:`~skewcount.errors.drive`.
     """
-    check_depth(region_lozenges(shape))
     rows = _row_spans(shape)
     size = sum(len(ups) + len(downs) for _, ups, downs, _ in rows)
     options: list[tuple[tuple[int, int], ...]] = [()] * size
@@ -260,10 +251,10 @@ def walk_tilings(shape: SkewShape, visit: Callable[[list[int]], None]) -> None:
     go(0)
 
 
-def tiling_listing(shape: SkewShape) -> tuple[Callable, Callable[[list[int]], Tiling]]:
-    """The tiling walk of the shape, refused at the call if too deep, and the
-    builder of a tiling from its leaf, which reads its keys at its first call."""
-    check_depth(region_lozenges(shape))
+def tiling_listing(shape: SkewShape) -> tuple[Callable, Callable[[list[int]], Tiling], Budget]:
+    """The tiling walk, a builder of a tiling from its leaf that reads its keys at its
+    first call, and the budget: a frame and a "Tk(a,b)" a lozenge of the region."""
+    lozenges = region_lozenges(shape)
     keys = []
 
     def build(cover: list[int]) -> Tiling:
@@ -271,12 +262,12 @@ def tiling_listing(shape: SkewShape) -> tuple[Callable, Callable[[list[int]], Ti
             keys.extend((base + 2 * a, a, b) for b, ups, _, base in _row_spans(shape) for a in ups)
         return Tiling(frozenset([Lozenge(cover[i], a, b) for i, a, b in keys]))
 
-    return partial(walk_tilings, shape), build
+    return partial(walk_tilings, shape), build, Budget(lozenges, 7 * lozenges)
 
 
 def enumerate_tilings(shape: SkewShape) -> list[Tiling]:
     """All tilings of the shape's region, in the search order of :func:`walk_tilings`."""
-    return list_leaves(*tiling_listing(shape))
+    return list_leaves(*judge(tiling_listing(shape)))
 
 
 def tiling_at(shape: SkewShape, index: int) -> Tiling:

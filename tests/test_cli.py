@@ -11,7 +11,7 @@ import pytest
 import skewcount
 import skewcount.cli as cli
 from skewcount.cli import main
-from skewcount.errors import SEARCH_FRAMES, InvariantError
+from skewcount.errors import MAX_OUTPUT_CHARS, SEARCH_FRAMES, InvariantError, judge, take_leaves
 
 
 def run(capsys, *argv):
@@ -712,8 +712,9 @@ class TestMethodTable:
         assert len(spans) == 1
         # the listings build items, so the patches bite
         for listing in [route.listing for route in cli.ROUTES.values() if route.listing]:
+            walk, build, _ = listing(shape)
             with pytest.raises(AssertionError, match="built an item"):
-                cli.take_leaves(*listing(shape), 1)
+                cli.take_leaves(walk, build, 1)
 
     def test_one_row_reaches_every_consumer(self, capsys, monkeypatch):
         # a count row, and a second search of the paths under its own enumerate word
@@ -730,6 +731,53 @@ class TestMethodTable:
         assert (report["counts"]["dp_again"], report["counts"]["enum_again"]) == ("5", "5")
         assert set(report["elapsed_ms"]) == set(cli.ROUTES) >= {"dp_again", "enum_again"}
 
+    @pytest.mark.parametrize("method, module, name, library", [
+        ("enum", "paths", "path_listing", "enumerate_paths"),
+        ("tilings", "tilings", "tiling_listing", "enumerate_tilings"),
+        ("gv_enum", "gv", "family_listing", "enumerate_disjoint_families"),
+    ])
+    def test_one_budget_reaches_every_consumer(self, capsys, monkeypatch, method, module, name,
+                                               library):
+        # a field changed in one route's budget, where its module builds it, changes
+        # the refusal of count, verify, enumerate and the route's library listing
+        module = sys.modules[f"skewcount.{module}"]
+        listing = getattr(module, name)
+        what = cli.ROUTES[method].what
+        shape = cli.parse_shape("2,1")
+        arg = module.gv_endpoints(shape) if method == "gv_enum" else shape
+
+        def change(**field):
+            def changed(arg):
+                walk, build, budget = listing(arg)
+                return walk, build, budget._replace(**field)
+
+            monkeypatch.setattr(module, name, changed)
+
+        def consumers():
+            try:
+                listed = len(getattr(module, library)(arg))
+            except cli.ShapeError as exc:
+                listed = str(exc)
+            return (run(capsys, "count", "2,1", "--method", method)[:2],
+                    run(capsys, "verify", "2,1")[0],
+                    run(capsys, "enumerate", "2,1", what)[0], listed)
+
+        assert consumers() == ((0, "5\n"), 0, 0, 5)
+        limit = sys.getrecursionlimit()
+        change(depth=limit)
+        deep = f"shape too large to search: deeper than Python's recursion limit of {limit}"
+        assert consumers() == ((2, ""), 2, 2, deep)
+        assert run(capsys, "enumerate", "2,1", what)[2] == f"error: {deep}\n"
+        # only enumerate prints items, so only it meets the output limit
+        change(item=MAX_OUTPUT_CHARS)
+        assert consumers() == ((0, "5\n"), 0, 2, 5)
+        assert run(capsys, "enumerate", "2,1", what) == (2, "", (
+            f"error: shape too large: {5 * MAX_OUTPUT_CHARS} output characters, "
+            f"past the limit of {MAX_OUTPUT_CHARS}\n"
+        ))
+        code, out, _ = run(capsys, "enumerate", "2,1", what, "--limit", "1")
+        assert (code, out.splitlines()[-1]) == (0, "... truncated: showing 1 of 5")
+
     def test_verify_counts_dp_once_a_shape(self, capsys, monkeypatch):
         # each search is handed the dp route's count, so none counts it again
         calls = []
@@ -745,6 +793,105 @@ class TestMethodTable:
         assert (code, out, err) == (3, "", "error: enumeration exceeded cap of 13 items\n")
         code, out, _ = run(capsys, "count", "3,2,1", "--method", method, "--cap", "14")
         assert (code, out) == (0, "14\n")
+
+
+def deepest_leaf(walk, stop):
+    """The most frames below this call that a walk has at any of its first ``stop`` leaves."""
+    def height():
+        frame, frames = sys._getframe(1), 0
+        while frame is not None:
+            frame, frames = frame.f_back, frames + 1
+        return frames
+
+    base = height()
+    heights = []
+    take_leaves(walk, lambda leaf: heights.append(height() - base), stop)
+    return max(heights)
+
+
+class TestBudgets:
+    """Each listing's budget, read off the shape, matches what its walk does."""
+
+    SHAPES = [*(cli.SkewShape(lam, mu) for lam in cli.partitions_in_box(3, 3)
+                for mu in cli.subpartitions(lam)),
+              *map(cli.parse_shape, [",".join(["1"] * 10), "300,300/100", "7,7,6,5,4/3,2"])]
+
+    @pytest.mark.parametrize("method", ["enum", "tilings", "gv_enum"])
+    def test_depth_is_the_frames_the_walk_takes(self, method):
+        # a walk that came to recurse more or less than its budget says fails here:
+        # its deepest frame at a leaf is its depth and one constant, the same for
+        # every listing (the walk's first and leaf frames, take_leaves, drive and
+        # the two visitors)
+        for shape in self.SHAPES:
+            walk, _, budget = cli.ROUTES[method].listing(shape)
+            assert deepest_leaf(walk, 200) == budget.depth + 6, cli.format_shape(shape)
+
+    @pytest.mark.parametrize("method", ["enum", "tilings", "gv_enum"])
+    def test_item_is_at_most_an_items_text(self, method):
+        # the output limit judges at least what prints: a path exactly, a tiling
+        # and a family at their shortest, a lozenge as "T1(0,0)", a path as "(0,0):"
+        route = cli.ROUTES[method]
+        for shape in self.SHAPES:
+            walk, build, budget = route.listing(shape)
+            lengths = []
+            take_leaves(walk, lambda leaf: lengths.append(len(route.as_text(build(leaf)))), 200)
+            assert budget.item <= min(lengths), cli.format_shape(shape)
+            if method == "enum":
+                assert set(lengths) == {budget.item}
+
+    def test_family_depth_counts_rows_not_steps(self, capsys):
+        # a frame a north step and two a path: a row 2,000 wide is 3 frames deep,
+        # while a column of 400 1s is 1,200 and refused
+        assert run(capsys, "count", "2000", "--method", "gv_enum") == (0, "2001\n", "")
+        code, out, err = run(capsys, "count", ",".join(["1"] * 400), "--method", "gv_enum")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: shape too large to search") and err.count("\n") == 1
+
+    def test_family_refusal_row_ignores_the_callers_stack(self):
+        # the family listing, at three frames a row of 1s, takes the most frames of
+        # any listing beyond its depth; fresh interpreters run as `python -m` and as a
+        # script 10 frames deep list the column SEARCH_FRAMES short of the limit
+        limit = int(run_python("-c", "import sys; print(sys.getrecursionlimit())").stdout)
+        rows = (limit - SEARCH_FRAMES) // 3
+        for launch in (("-m", "skewcount.cli"), ("-c", WRAPPED_MAIN)):
+            for fmt in ("text", "json"):
+                argv = ("enumerate", ",".join(["1"] * rows), "families", "--limit", "1",
+                        "--format", fmt)
+                done = run_python(*launch, *argv)
+                assert (done.returncode, done.stderr) == (0, ""), (launch, fmt)
+                done = run_python(*launch, *argv[:1], ",".join(["1"] * (rows + 1)), *argv[2:])
+                assert (done.returncode, done.stdout, done.stderr.count("\n")) == (2, "", 1)
+
+
+class TestOutputLimit:
+    """A listing whose items' text would pass MAX_OUTPUT_CHARS is refused before it walks."""
+
+    LINE = ("error: shape too large: 1000000000000 output characters, "
+            "past the limit of 100000000\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_a_million_paths_of_a_million_steps(self, capsys, monkeypatch, fmt):
+        # JSON is judged on the text's item size, which it passes by a constant
+        def no_walk(*args):
+            raise AssertionError("walked a listing past the output limit")
+
+        monkeypatch.setattr("skewcount.paths.walk_paths", no_walk)
+        code, out, err = run(capsys, "enumerate", "999999", "paths", "--format", fmt)
+        assert (code, out, err) == (2, "", self.LINE)
+
+    def test_comes_after_the_cap(self, capsys):
+        # the cap comes first: past both, exit 3 with the cap's line
+        assert run(capsys, "enumerate", "999999", "paths", "--cap", "5")[0] == 3
+        # --limit judges only what it shows
+        code, out, _ = run(capsys, "enumerate", "999999", "paths", "--limit", "2")
+        assert (code, len(out.splitlines())) == (0, 3)
+
+    def test_the_limit_row(self):
+        # README's row: 10,000 paths of 10,000 steps print, 10,001 of 10,001 do not
+        listing = cli._load("paths").path_listing
+        judge(listing(cli.parse_shape("9999")), cli.DEFAULT_CAP, lambda: 10_000, 10_000)
+        with pytest.raises(cli.ShapeError, match="^shape too large: 100020001 output characters"):
+            judge(listing(cli.parse_shape("10000")), cli.DEFAULT_CAP, lambda: 10_001, 10_001)
 
 
 class TestStreaming:
@@ -772,12 +919,11 @@ class TestStreaming:
         assert done.stdout.splitlines()[-1] == "... truncated: showing 1 of 6188"
 
     def test_family_search_of_a_wide_row_holds_only_its_path(self, capsys):
-        # occupancy grows with the path, not with the configuration's bounding
-        # box: a row 10^9 wide meets the recursion limit, not a 2 GB table
-        # (`count`, as `enumerate` meets the dp size guard before it draws)
+        # the walk's depth is 3 frames, so a row 10^9 wide meets dp's size guard
+        # before its cap is judged, and nothing walks or allocates for the row
         code, out, err = run(capsys, "count", "1000000000", "--method", "gv_enum")
         assert (code, out) == (2, "")
-        assert err.startswith("error: shape too large to search") and err.count("\n") == 1
+        assert err.startswith("error: shape too large: 1000000001 dp cells") and err.count("\n") == 1
 
     def test_tiling_prefix_under_a_small_cap(self, capsys):
         code, out, err = run(capsys, "enumerate", "3,3,3", "tilings", "--limit", "2", "--cap", "5")
@@ -856,7 +1002,7 @@ class TestStreaming:
         def no_search(shape):
             raise AssertionError("drew a path of a shape past the dp guard")
 
-        monkeypatch.setattr(cli, "path_listing", no_search)
+        monkeypatch.setattr("skewcount.paths.path_listing", no_search)
         code, out, err = run(capsys, "enumerate", "10000000", "paths", "--limit", "1")
         assert (code, out) == (2, "")
         assert err.startswith("error: shape too large:") and err.count("\n") == 1
@@ -886,6 +1032,8 @@ class TestPastMaxsize:
 
 
 BOX_40 = ",".join(["40"] * 40)
+# a column of 3s: C(403, 3) paths, and 1,200 frames of family walk
+COL_400 = ",".join(["3"] * 400)
 # one row past the matrix limit: 3,163^2 entries
 ONES_3163 = ",".join(["1"] * 3163)
 # 20 rows of a 4,300-digit part, which parse_integer still reads: its sizes
@@ -904,21 +1052,21 @@ sys.exit(wrap(9))
 
 
 class TestDeepSearch:
-    """The searches are judged by their rows, lozenges, or path steps plus
-    starts; past Python's recursion limit that is bad input (exit 2), not a
+    """The searches are judged by their rows, lozenges, or north steps plus two
+    frames a path; past Python's recursion limit that is bad input (exit 2), not a
     traceback."""
 
     @pytest.mark.parametrize(
         "argv",
         [
             pytest.param(("enumerate", BOX_40, "tilings", "--limit", "1"), id="enumerate-tilings"),
-            pytest.param(("enumerate", BOX_40, "families", "--limit", "1"), id="enumerate-families"),
+            pytest.param(("enumerate", COL_400, "families", "--limit", "1"), id="enumerate-families"),
             pytest.param(("count", BOX_40, "--method", "tilings"), id="count-tilings"),
             pytest.param(("enumerate", ",".join(["1"] * 1200), "paths", "--limit", "1"),
                          id="enumerate-paths"),
             # with no --limit, past the cap too: the depth refusal comes first
             pytest.param(("enumerate", BOX_40, "tilings"), id="enumerate-tilings-all"),
-            pytest.param(("enumerate", BOX_40, "families"), id="enumerate-families-all"),
+            pytest.param(("enumerate", COL_400, "families"), id="enumerate-families-all"),
             pytest.param(("enumerate", ",".join(["3"] * 1200), "paths"), id="enumerate-paths-all"),
         ],
     )

@@ -1,8 +1,11 @@
 import pickle
+import sys
 
 import pytest
 
 from skewcount.errors import (
+    MAX_OUTPUT_CHARS,
+    Budget,
     CapExceededError,
     NotAdmissibleError,
     ShapeError,
@@ -10,6 +13,7 @@ from skewcount.errors import (
     check_size,
     count_leaves,
     format_count,
+    judge,
     list_leaves,
     take_leaves,
 )
@@ -77,6 +81,38 @@ class TestCapped:
         with pytest.raises(ShapeError, match="recursion limit") as exc:
             count_leaves(deep, None)
         assert "\n" not in str(exc.value)
+
+
+class TestJudge:
+    """One judge of a listing's budget, in one order: depth, then cap, then output."""
+
+    def test_refusals_come_in_order(self):
+        walk, build = object(), object()
+        asked = []
+
+        def items():
+            asked.append(1)
+            return 6
+
+        past_all = Budget(sys.getrecursionlimit(), MAX_OUTPUT_CHARS)
+        with pytest.raises(ShapeError, match="recursion limit"):
+            judge((walk, build, past_all), 5, items, 10)
+        assert asked == []  # a search too deep reads no count
+        with pytest.raises(CapExceededError):
+            judge((walk, build, past_all._replace(depth=0)), 5, items, 10)
+        with pytest.raises(ShapeError, match=(
+            f"^shape too large: {10 * MAX_OUTPUT_CHARS} output characters, "
+            f"past the limit of {MAX_OUTPUT_CHARS}$"
+        )):
+            judge((walk, build, past_all._replace(depth=0)), 6, items, 10)
+        assert judge((walk, build, Budget(0, MAX_OUTPUT_CHARS)), 6, items, 1) == (walk, build)
+
+    def test_the_library_is_judged_on_depth_alone(self):
+        # it has no cap and prints nothing
+        walk, build = object(), object()
+        assert judge((walk, build, Budget(0, 10**100))) == (walk, build)
+        with pytest.raises(ShapeError, match="recursion limit"):
+            judge((walk, build, Budget(sys.getrecursionlimit(), 0)))
 
 
 def test_bad_path_errors_are_shape_errors():

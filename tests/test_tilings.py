@@ -348,17 +348,21 @@ class TestEnumerateTilings:
             assert numbers == {t: i for i, t in enumerate(order)}, shape
 
     def test_too_deep_is_refused_at_the_call(self, monkeypatch):
-        # 1,201 lozenges, past the default recursion limit of 1,000: the walk
-        # and the listing refuse it before they read a row or build an outline
+        # 1,201 lozenges, past the default recursion limit of 1,000: a walk run
+        # without the judge meets drive's backstop, with the same one line
+        with pytest.raises(ShapeError, match="deeper than Python's recursion limit"):
+            count_leaves(partial(walk_tilings, SkewShape((600,))), None)
+
+        # the listing reads its budget off the shape, and the library's judge
+        # refuses it before a row is read or an outline built
         def no_rows(shape):
             raise AssertionError("read rows too deep to search")
 
         monkeypatch.setattr("skewcount.tilings._boundary", no_rows)
         monkeypatch.setattr("skewcount.tilings._row_spans", no_rows)
+        assert tiling_listing(SkewShape((600,)))[2] == (1201, 7 * 1201)
         with pytest.raises(ShapeError, match="deeper than Python's recursion limit"):
-            walk_tilings(SkewShape((600,)), print)
-        with pytest.raises(ShapeError, match="deeper than Python's recursion limit"):
-            tiling_listing(SkewShape((600,)))
+            enumerate_tilings(SkewShape((600,)))
 
 
 class TestTilingAt:
