@@ -352,12 +352,9 @@ def main(argv: list[str] | None = None) -> int:
         os.close(devnull)
         return 141
     # a message may echo outside input whole, so its line is clipped here
-    except CapExceededError as exc:
+    except (CapExceededError, ShapeError) as exc:
         print(f"error: {clip(str(exc), 170)}", file=sys.stderr)
-        return 3
-    except ShapeError as exc:
-        print(f"error: {clip(str(exc), 170)}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, CapExceededError) else 2
 
 
 if __name__ == "__main__":

@@ -140,13 +140,15 @@ def judge(listing: tuple, cap: int | None = None, items: Callable | None = None,
 
 # Sizes past which a route refuses a shape before it allocates for it. A region
 # costs about 330 B a lozenge, and at 200,000 lozenges `render --path` already
-# takes about 7 s and writes 34 MB; `dp` adds m + n counts. A listed path is a
-# string of width + n steps: 3 of 10,000,002 list in 1.1 s at 34 MB peak RSS.
+# takes about 7 s and writes 34 MB; `dp` adds m + n counts, which `render --tiling` keeps:
+# at 10^9 bits of them, a band three cells wide of 11,170 rows draws in 1.2 s at 117 MB.
+# A listed path is a string of width + n steps: 3 of 10,000,002 list in 1.1 s at 34 MB peak RSS.
 # `det` and `gv_det` build n^2 matrix entries; `count` of 3,162 rows of 1 takes 3 s, 94 MB.
 # A listing prints each item at its leaf, so its output costs time: 10^8 characters
 # take 0.9 s as `enumerate 9999 paths` (15 MB) and 12.5 s as tilings of 30 rows of 30.
 MAX_REGION_LOZENGES = 200_000
 MAX_DP_CELLS = 10_000_000
+MAX_TABLE_BITS = 1_000_000_000
 MAX_PATH_STEPS = 20_000_000
 MAX_MATRIX_ENTRIES = 10_000_000
 MAX_OUTPUT_CHARS = 100_000_000

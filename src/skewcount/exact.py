@@ -64,33 +64,44 @@ def det_exact(m: IntMatrix) -> int:
     """Exact determinant by fraction-free Bareiss elimination.
 
     All intermediate divisions are exact over the integers; row swaps are
-    tracked by sign. The empty 0x0 matrix has determinant 1.
+    tracked by sign. The empty 0x0 matrix has determinant 1. A step would only
+    rescale a row with a zero in the pivot column, so it is left alone until
+    next read: by Sylvester's identity, on which Bareiss rests, an entry x last
+    written under divisor D_s is exactly x * D_k // D_s under D_k. So a
+    Gessel-Viennot matrix, with one nonzero below each pivot, takes O(n^2) steps.
     """
     if m.rows != m.cols:
         raise NotSquareError(f"matrix is {m.rows}x{m.cols}")
     n = m.rows
-    if n == 0:
-        return 1
     a = m.row_lists()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
+    since = [1] * n  # the divisor each row was last written under
+    sign = prev = 1
+    for k in range(n):
+        p = k
+        while p < n and a[p][k] == 0:
+            p += 1
+        if p == n:
+            return 0
+        if p != k:
+            a[k], a[p], since[k], since[p] = a[p], a[k], since[p], since[k]
+            sign = -sign
+        for i in range(k, n):  # row k first: its entry in column k is the pivot
+            row, old = a[i], since[i]
+            if row[k] == 0:  # the step would only rescale it
+                continue
+            if old != prev:
+                for j in range(k, n):
+                    row[j] = row[j] * prev // old
+            if i == k:
+                top, pivot = row, row[k]
+                continue
+            x = row[k]
             for j in range(k + 1, n):
                 # division by the previous pivot is exact (Bareiss identity)
-                a[i][j] = (pivot * a[i][j] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
+                row[j] = (pivot * row[j] - x * top[j]) // prev
+            since[i] = pivot
         prev = pivot
-    return sign * a[n - 1][n - 1]
+    return sign * prev
 
 
 def det_hessenberg(m: IntMatrix) -> int:

@@ -41,7 +41,7 @@ class PathFamily(NamedTuple):
     paths: tuple[LatticePath, ...]
 
     def to_json(self) -> dict:
-        return {"paths": [{"start": list(p.start), "steps": p.steps} for p in self.paths]}
+        return {"paths": [path.to_json() for path in self.paths]}
 
 
 def gv_endpoints(shape: SkewShape) -> GVConfig:

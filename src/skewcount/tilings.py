@@ -35,7 +35,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from .errors import (
-    MAX_DP_CELLS, MAX_REGION_LOZENGES, Budget, InvariantError, MalformedFamilyError,
+    MAX_REGION_LOZENGES, MAX_TABLE_BITS, Budget, InvariantError, MalformedFamilyError,
     NotAdmissibleError, ShapeError, check_size, judge, list_leaves,
 )
 from .paths import (
@@ -68,35 +68,35 @@ class Lozenge(NamedTuple):
     b: int
 
 
+# offsets from a key (a, b), as the module docstring draws them: a kind's DOWN
+# triangle and its corners in cyclic order, and an orientation's vertices
+_KINDS = {
+    T1: ((0, 0), ((0, 0), (1, 0), (1, 1), (0, 1))),
+    T2: ((-1, 0), ((0, 0), (1, 0), (0, 1), (-1, 1))),
+    T3: ((0, -1), ((0, 0), (1, -1), (1, 0), (0, 1))),
+}
+_VERTICES = {True: ((0, 0), (1, 0), (0, 1)), False: ((1, 0), (0, 1), (1, 1))}
+
+
 def triangle_vertices(t: Triangle) -> tuple[TriPoint, TriPoint, TriPoint]:
-    if t.up:
-        return (TriPoint(t.a, t.b), TriPoint(t.a + 1, t.b), TriPoint(t.a, t.b + 1))
-    return (TriPoint(t.a + 1, t.b), TriPoint(t.a, t.b + 1), TriPoint(t.a + 1, t.b + 1))
+    return tuple(TriPoint(t.a + da, t.b + db) for da, db in _VERTICES[t.up])
+
+
+def _kind_row(loz: Lozenge) -> tuple:
+    if loz.kind not in _KINDS:
+        raise ValueError(f"unknown lozenge kind {loz.kind}")
+    return _KINDS[loz.kind]
 
 
 def lozenge_triangles(loz: Lozenge) -> tuple[Triangle, Triangle]:
     """The UP and DOWN triangle a lozenge covers."""
-    a, b = loz.a, loz.b
-    up = Triangle(a, b, True)
-    if loz.kind == T1:
-        return (up, Triangle(a, b, False))
-    if loz.kind == T2:
-        return (up, Triangle(a - 1, b, False))
-    if loz.kind == T3:
-        return (up, Triangle(a, b - 1, False))
-    raise ValueError(f"unknown lozenge kind {loz.kind}")
+    (da, db), _ = _kind_row(loz)
+    return (Triangle(loz.a, loz.b, True), Triangle(loz.a + da, loz.b + db, False))
 
 
 def lozenge_corners(loz: Lozenge) -> tuple[TriPoint, TriPoint, TriPoint, TriPoint]:
     """The rhombus corners in cyclic order."""
-    a, b = loz.a, loz.b
-    if loz.kind == T1:
-        return (TriPoint(a, b), TriPoint(a + 1, b), TriPoint(a + 1, b + 1), TriPoint(a, b + 1))
-    if loz.kind == T2:
-        return (TriPoint(a, b), TriPoint(a + 1, b), TriPoint(a, b + 1), TriPoint(a - 1, b + 1))
-    if loz.kind == T3:
-        return (TriPoint(a, b), TriPoint(a + 1, b - 1), TriPoint(a + 1, b), TriPoint(a, b + 1))
-    raise ValueError(f"unknown lozenge kind {loz.kind}")
+    return tuple(TriPoint(loz.a + da, loz.b + db) for da, db in _kind_row(loz)[1])
 
 
 class Tiling(NamedTuple):
@@ -276,15 +276,15 @@ def tiling_at(shape: SkewShape, index: int) -> Tiling:
     :func:`walk_tilings` shows. An index outside 0..N-1 is a ShapeError.
 
     It unranks from :func:`~skewcount.paths.suffix_counts`, the table ``dp``
-    counts from, kept whole. Its ints grow with the rows, so beside the region
-    guard it is bounded as ``dp`` once was, by n rows of width + 1 cells: a band
-    three cells wide, which the region guard admits to 49,999 rows, holds
-    74 MB of table at 16,000 rows.
+    counts from, kept whole: m + n counts, none past C(width + n, n), below both
+    2^(width + n) and (width + n)^min(width, n). So after the region guard, and
+    before a row is kept, it is bounded by m + n counts of the fewer bits.
     """
-    check_size(shape.n * (shape.width + 1), MAX_DP_CELLS, "dp cells")
-    rows = suffix_counts(shape)
     region_lozenges(shape)
-    tails = list(rows)[::-1]  # bottom row first
+    steps = shape.width + shape.n
+    count_bits = min(steps, min(shape.width, shape.n) * steps.bit_length())
+    check_size((shape.m + shape.n) * count_bits, MAX_TABLE_BITS, "table bits")
+    tails = list(suffix_counts(shape))[::-1]  # bottom row first
     total = tails[0][0] if tails else 1
     if not 0 <= index < total:
         raise ShapeError(f"tiling index {index} outside 0..{total - 1}")
@@ -469,9 +469,9 @@ def render_svg(shape: SkewShape, tiling: Tiling | None = None, shade: str = "bot
     b (the disjoint family's), "both" does both, b last, so dark wins on the
     kind the two share.
     """
-    boundary = _boundary(shape)
     if shade not in ("a", "b", "both"):
         raise ValueError(f"unknown shade option {shade!r}")
+    boundary = _boundary(shape)
     if not boundary:
         return '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="0 0 1 1"/>\n'
     corners = [_cart(p) for p in boundary]

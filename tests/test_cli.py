@@ -600,6 +600,31 @@ class TestRender:
             assert run(capsys, "render", "2,1", *pick, "-o", str(out_file)) == (0, "", "")
             assert out_file.read_text().startswith("<svg ")
 
+    def test_a_wide_band_draws_its_tiling(self, capsys, tmp_path):
+        # 2,000 rows of 3 cells, 10,000 wide: n rows of width + 1 are 20,002,000,
+        # but the table holds 8,000 counts under 9.6 * 10^7 bits
+        outer = [10_000 - 5 * i for i in range(2000)]
+        band = ",".join(map(str, outer)) + "/" + ",".join(str(o - 3) for o in outer)
+        out_file = tmp_path / "x.svg"
+        assert run(capsys, "render", band, "--tiling", "0", "-o", str(out_file)) == (0, "", "")
+        assert out_file.read_text().startswith("<svg ")
+
+    def test_past_the_table_limit_keeps_no_row(self, capsys, tmp_path, monkeypatch):
+        # a band three cells wide, 11,190 rows: 44,760 counts of at most
+        # 22,382 bits each, judged from the shape before the table is read
+        def no_table(shape):
+            raise AssertionError("read the table of a shape past its limit")
+
+        monkeypatch.setattr("skewcount.tilings.suffix_counts", no_table)
+        outer = range(11_192, 2, -1)
+        band = ",".join(map(str, outer)) + "/" + ",".join(str(o - 3) for o in outer)
+        out_file = tmp_path / "x.svg"
+        code, out, err = run(capsys, "render", band, "--tiling", "0", "-o", str(out_file))
+        assert (code, out) == (2, "")
+        assert err == ("error: shape too large: 1001818320 table bits, "
+                       "past the limit of 1000000000\n")
+        assert not out_file.exists()
+
 
 BOX_12 = ",".join(["12"] * 12)  # C(24, 12) = 2,704,156 items of each kind
 WALKS = ("skewcount.paths.walk_paths", "skewcount.tilings.walk_tilings",

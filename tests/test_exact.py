@@ -1,4 +1,6 @@
 import math
+import random
+import time
 
 import pytest
 from hypothesis import given
@@ -6,6 +8,9 @@ from hypothesis import strategies as st
 
 from skewcount.errors import NotSquareError
 from skewcount.exact import IntMatrix, binomial, det_exact, det_hessenberg
+from skewcount.gv import gv_endpoints, gv_matrix
+from skewcount.paths import count_paths_dp
+from skewcount.shapes import parse_shape
 
 
 def laplace_det(rows):
@@ -136,6 +141,32 @@ class TestDetExact:
         assert det_exact(IntMatrix.from_rows(swapped)) == -det_exact(
             IntMatrix.from_rows(rows)
         )
+
+    def test_agrees_with_laplace_on_sparse_matrices(self):
+        # many zeros: rows left alone for several steps, zero pivots that need
+        # a swap, and whole zero rows and columns, which make a zero determinant
+        rng = random.Random(13)
+        for _ in range(2000):
+            n = rng.randint(1, 6)
+            density = rng.random()
+            rows = [[rng.randint(-5, 5) if rng.random() < density else 0 for _ in range(n)]
+                    for _ in range(n)]
+            if rng.random() < 0.2:
+                rows[rng.randrange(n)] = [0] * n
+            if rng.random() < 0.2:
+                j = rng.randrange(n)
+                for row in rows:
+                    row[j] = 0
+            assert det_exact(IntMatrix.from_rows(rows)) == laplace_det(rows), rows
+
+    def test_gessel_viennot_matrix_of_a_long_band(self):
+        # 1,000 rows of 3: column k is nonzero in one row below the diagonal, so
+        # rows left alone make this O(n^2) big-int steps; O(n^3) took half a minute
+        shape = parse_shape(",".join(["3"] * 1000))
+        m = gv_matrix(gv_endpoints(shape))
+        t0 = time.perf_counter()
+        assert det_exact(m) == count_paths_dp(shape) == 167668501
+        assert time.perf_counter() - t0 < 10
 
 
 def unit_hessenberg(n, upper):

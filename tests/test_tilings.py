@@ -205,10 +205,18 @@ class TestGeometry:
             assert set(lozenge_corners(loz)) == union
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            lozenge_triangles(Lozenge(4, 0, 0))
-        with pytest.raises(ValueError, match="unknown lozenge kind 4"):
-            lozenge_corners(Lozenge(4, 0, 0))
+        # both lookups meet the one refusal, word for word
+        for kind in (0, 4, -1):
+            for lookup in (lozenge_triangles, lozenge_corners):
+                with pytest.raises(ValueError, match=f"^unknown lozenge kind {kind}$"):
+                    lookup(Lozenge(kind, 2, 3))
+
+    def test_each_kind_pairs_as_the_pairings_say(self):
+        # each triangle's three pairings, written out apart from the kind table
+        for t in (Triangle(2, 3, True), Triangle(2, 3, False)):
+            for loz, partner in _pairings(t):
+                up, down = (t, partner) if t.up else (partner, t)
+                assert lozenge_triangles(loz) == (up, down), loz
 
 
 class TestRegion:
@@ -392,8 +400,8 @@ class TestTilingAt:
         [
             (SkewShape((200_000,)), "region lozenges"),
             # a band three cells wide, 49,999 rows: 199,997 lozenges, but its
-            # table's ints grow with the rows, and the dp guard refuses it
-            (SkewShape(range(50_000, 1, -1), range(49_998, -1, -1)), "dp cells"),
+            # table's ints grow with the rows, and the table guard refuses it
+            (SkewShape(range(50_000, 1, -1), range(49_998, -1, -1)), "table bits"),
         ],
         ids=["wide-row", "long-band"],
     )
