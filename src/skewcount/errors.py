@@ -52,27 +52,21 @@ class _Enough(Exception):
     """Raised by a visitor that has every leaf it wants: the walk ends there."""
 
 
-def drive(walk: Callable[[Callable], None], visit: Callable) -> None:
-    """Run ``walk(visit)``: the one place a search is run.
+def take_leaves(walk: Callable, take: Callable, stop: int | None = None) -> int:
+    """Run ``walk(visit)``, the one place any search runs: call ``take(leaf)`` at
+    the walk's leaves 0, ..., stop - 1, in walk order, and return how many it took.
+    The walk ends at leaf stop - 1 (``None``: at its own end), so no leaf past it
+    is searched for.
 
-    A search is a walk that calls ``visit(leaf)`` at each of its leaves in
-    order. The searches recurse once per row, lozenge or row a path crosses,
-    and :func:`judge` refuses one too deep before it starts. This catch is
-    the backstop for a caller whose own stack is deeper than that guard's
+    A walk calls ``visit(leaf)`` at each leaf, in order. The leaf is live: the
+    walk changes it as it goes on, so a visitor that keeps it must copy it.
+    Counting the leaves builds no item.
+
+    The searches recurse once per row, lozenge or row a path crosses, and
+    :func:`judge` refuses one too deep before it starts. This catch is the
+    backstop for a caller whose own stack is deeper than that guard's
     allowance, ``SEARCH_FRAMES``: its walk raises the same one-line ShapeError.
     """
-    try:
-        walk(visit)
-    except _Enough:
-        pass
-    except RecursionError:
-        raise _too_deep() from None
-
-
-def take_leaves(walk: Callable, take: Callable, stop: int | None = None) -> int:
-    """Call ``take(leaf)`` at the walk's leaves 0, ..., stop - 1, in walk order,
-    and return how many it took. The walk ends at leaf stop - 1 (``None``: at
-    its own end), so no leaf past it is searched for."""
     taken = 0
 
     def visit(leaf) -> None:
@@ -83,7 +77,12 @@ def take_leaves(walk: Callable, take: Callable, stop: int | None = None) -> int:
             raise _Enough
 
     if stop != 0:
-        drive(walk, visit)
+        try:
+            walk(visit)
+        except _Enough:
+            pass
+        except RecursionError:
+            raise _too_deep() from None
     return taken
 
 
@@ -115,7 +114,7 @@ def _too_deep() -> ShapeError:
 
 
 # the frames a search may find on the stack beyond its depth: the CLI's
-# deepest listing, families under `python -m`, takes 22 on Python 3.11 with its
+# deepest listing, families under `python -m`, takes 21 on Python 3.11 with its
 # printing, and the rest is slack, so a frame more or less on the way down
 # moves no refusal
 SEARCH_FRAMES = 32

@@ -76,15 +76,13 @@ def walk_families(config: GVConfig, visit: Callable[[list[list[int]]], None]) ->
     permutation, brute force: ``records[k]`` is the north record of path k, the
     x of each of its north steps, bottom-up.
 
-    The leaf is live: the walk changes it as it goes on, so a visitor that
-    keeps it copies it. Counting the leaves builds no path.
-
     A path entering row y at x holds the run [x, c] of that row, which must
     miss every run an earlier path holds there; below its end's row it steps
     north at c, each c tried lowest first, and in its end's row the run must
     reach the end. So families come in ascending north-record order; a family
     not pairing start i with end i raises InvariantError. The walk recurses
-    once per row a path crosses: run it through :func:`~skewcount.errors.drive`.
+    once per row a path crosses: run it through
+    :func:`~skewcount.errors.take_leaves`.
 
     Built once per configuration, before the walk: the ends each start is
     the last to reach, so that no start picks an end that leaves one unused.

@@ -107,11 +107,8 @@ def is_admissible(shape: SkewShape, path: LatticePath) -> bool:
 
 def walk_paths(shape: SkewShape, visit: Callable[[list[int]], None]) -> None:
     """Call ``visit(record)`` at each admissible path of the shape, in
-    lexicographic order of its north record.
-
-    The leaf is live: the walk changes it as it goes on, so a visitor that
-    keeps it copies it. Counting the leaves builds no path. The walk recurses
-    once per row: run it through :func:`~skewcount.errors.drive`.
+    lexicographic order of its north record. The walk recurses once per row:
+    run it through :func:`~skewcount.errors.take_leaves`.
     """
     bounds = shape.north_step_bounds()
     n = len(bounds)

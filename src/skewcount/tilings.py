@@ -194,9 +194,6 @@ def walk_tilings(shape: SkewShape, visit: Callable[[list[int]], None]) -> None:
     :func:`_row_spans` gives each UP triangle, the kind of the lozenge keyed
     by that triangle.
 
-    The leaf is live: the walk changes it as it goes on, so a visitor that
-    keeps it copies it. Counting the leaves builds no lozenge and no tiling.
-
     Always pairs the first uncovered triangle in the fixed (b, a, UP<DOWN)
     order, trying kinds T1, T2, T3; the leaf order is the search order.
     Deliberately knows nothing about paths, so it can serve as an oracle for
@@ -216,7 +213,7 @@ def walk_tilings(shape: SkewShape, visit: Callable[[list[int]], None]) -> None:
     T1 for an UP triangle, and T2 and T3 for a DOWN one. ``cover`` marks both
     triangles of a chosen lozenge with its kind, and 0 an uncovered one. The
     walk recurses once per lozenge, as :func:`tiling_listing`'s budget counts:
-    run it through :func:`~skewcount.errors.drive`.
+    run it through :func:`~skewcount.errors.take_leaves`.
     """
     rows = _row_spans(shape)
     size = sum(len(ups) + len(downs) for _, ups, downs, _ in rows)
@@ -499,5 +496,5 @@ def render_svg(shape: SkewShape, tiling: Tiling | None = None, shade: str = "bot
         f'  <polygon points="{_fmt_points(boundary)}" fill="none" '
         'stroke="#000000" stroke-width="2.6" stroke-linejoin="round"/>'
     )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    lines.append("</svg>\n")
+    return "\n".join(lines)

@@ -845,11 +845,11 @@ class TestBudgets:
     def test_depth_is_the_frames_the_walk_takes(self, method):
         # a walk that came to recurse more or less than its budget says fails here:
         # its deepest frame at a leaf is its depth and one constant, the same for
-        # every listing (the walk's first and leaf frames, take_leaves, drive and
-        # the two visitors)
+        # every listing (the walk's first and leaf frames, take_leaves and the two
+        # visitors)
         for shape in self.SHAPES:
             walk, _, budget = cli.ROUTES[method].listing(shape)
-            assert deepest_leaf(walk, 200) == budget.depth + 6, cli.format_shape(shape)
+            assert deepest_leaf(walk, 200) == budget.depth + 5, cli.format_shape(shape)
 
     @pytest.mark.parametrize("method", ["enum", "tilings", "gv_enum"])
     def test_item_is_at_most_an_items_text(self, method):

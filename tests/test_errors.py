@@ -74,12 +74,19 @@ class TestCapped:
         assert take_leaves(walk, pytest.fail, 0) == 0
         assert visited == []
 
-    def test_too_deep_search_is_a_shape_error(self):
+    @pytest.mark.parametrize("search", [
+        lambda walk: take_leaves(walk, pytest.fail),
+        lambda walk: take_leaves(walk, pytest.fail, 5),
+        count_leaves,
+        lambda walk: list_leaves(walk, pytest.fail),
+    ], ids=["take_leaves", "take_leaves_stop", "count_leaves", "list_leaves"])
+    def test_too_deep_search_is_a_shape_error(self, search):
+        # every way a search is run meets the one recursion backstop
         def deep(visit):
             deep(visit)
 
         with pytest.raises(ShapeError, match="recursion limit") as exc:
-            count_leaves(deep, None)
+            search(deep)
         assert "\n" not in str(exc.value)
 
 

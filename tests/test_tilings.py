@@ -357,7 +357,7 @@ class TestEnumerateTilings:
 
     def test_too_deep_is_refused_at_the_call(self, monkeypatch):
         # 1,201 lozenges, past the default recursion limit of 1,000: a walk run
-        # without the judge meets drive's backstop, with the same one line
+        # without the judge meets take_leaves' backstop, with the same one line
         with pytest.raises(ShapeError, match="deeper than Python's recursion limit"):
             count_leaves(partial(walk_tilings, SkewShape((600,))), None)
 
