@@ -141,7 +141,7 @@ def judge(listing: tuple, cap: int | None = None, items: Callable | None = None,
 # costs about 330 B a lozenge, and at 200,000 lozenges `render --path` already
 # takes about 7 s and writes 34 MB; `dp` adds m + n counts, which `render --tiling` keeps:
 # at 10^9 bits of them, a band three cells wide of 11,170 rows draws in 1.2 s at 117 MB.
-# A listed path is a string of width + n steps: 3 of 10,000,002 list in 1.1 s at 34 MB peak RSS.
+# A path is a string of width + n steps, judged as built: 3 of 10,000,002 list in 1.1 s, 34 MB.
 # `det` and `gv_det` build n^2 matrix entries; `count` of 3,162 rows of 1 takes 3 s, 94 MB.
 # A listing prints each item at its leaf, so its output costs time: 10^8 characters
 # take 0.9 s as `enumerate 9999 paths` (15 MB) and 12.5 s as tilings of 30 rows of 30.

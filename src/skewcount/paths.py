@@ -69,7 +69,9 @@ class LatticePath(NamedTuple("LatticePath", [("start", Point), ("steps", str)]))
 
 
 def path_from_north_record(record: tuple[int, ...], width: int) -> LatticePath:
-    """Inverse of :meth:`LatticePath.north_xs` for paths from (0, 0) to (width, n)."""
+    """Inverse of :meth:`LatticePath.north_xs` for paths from (0, 0) to (width, n). Each path
+    built from a record is written here, and refused here, unwritten, past ``MAX_PATH_STEPS``."""
+    check_size(width + len(record), MAX_PATH_STEPS, "path steps")
     if any(b < a for a, b in zip(record, record[1:])):
         raise ValueError(f"north record not weakly increasing: {record}")
     if record and not (0 <= record[0] and record[-1] <= width):
@@ -127,12 +129,11 @@ def walk_paths(shape: SkewShape, visit: Callable[[list[int]], None]) -> None:
 
 
 def path_listing(shape: SkewShape) -> tuple[Callable, Callable[[list[int]], LatticePath], Budget]:
-    """The path walk of the shape, the builder of a path from its leaf, and the budget:
-    a frame a row, and width + n steps a path, past ``MAX_PATH_STEPS`` refused here."""
-    width, steps = shape.width, shape.width + shape.n
-    check_size(steps, MAX_PATH_STEPS, "path steps")
+    """The path walk of the shape, the builder of a path from its leaf, and the budget: a frame
+    a row, and width + n steps a path, judged as the path is built; a count builds none."""
+    width = shape.width
     build = lambda rec: path_from_north_record(rec, width)
-    return partial(walk_paths, shape), build, Budget(shape.n, steps)
+    return partial(walk_paths, shape), build, Budget(shape.n, width + shape.n)
 
 
 def enumerate_paths(shape: SkewShape) -> list[LatticePath]:

@@ -62,9 +62,8 @@ class Partition(tuple):
         for i, (a, b) in enumerate(zip(parts, parts[1:]), 1):
             if b > a:
                 raise NonMonotoneError(f"part {i + 1} ({b}) is larger than part {i} ({a})")
-        while parts and parts[-1] == 0:
-            parts = parts[:-1]
-        return super().__new__(cls, parts)
+        # weakly decreasing and nonnegative, so its zeros are the trailing parts
+        return super().__new__(cls, parts[: len(parts) - parts.count(0)])
 
     @property
     def size(self) -> int:

@@ -58,6 +58,10 @@ class TestCount:
         assert code == 0
         assert out == "5\n"
 
+    def test_enum_counts_paths_too_long_to_build(self, capsys):
+        # a count walks north records and builds no path, so no path step is judged
+        assert run(capsys, "count", "20000001/20000000", "--method", "enum") == (0, "2\n", "")
+
     def test_default_method(self, capsys):
         code, out, _ = run(capsys, "count", "9,7,6,2/3,1")
         assert code == 0
@@ -1159,6 +1163,9 @@ class TestDeepSearch:
             # two rows of one cell each pass dp's guard, but each path is 10^9 steps
             pytest.param(("enumerate", "1000000000,1000000000/999999999,999999999", "paths"),
                          id="enumerate-paths-wide-rows"),
+            # within the output limit: its first path, of 20,000,002 steps, is refused as built
+            pytest.param(("enumerate", "20000001/20000000", "paths", "--limit", "1"),
+                         id="enumerate-paths-past-the-step-limit"),
             pytest.param(("count", ONES_3163), id="count-det"),
             pytest.param(("count", ONES_3163, "--method", "gv_det"), id="count-gv_det"),
             pytest.param(("count", NINES_20, "--method", "dp"), id="count-dp-long-parts"),

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given
 
-from skewcount.errors import InvariantError, count_leaves
+from skewcount.errors import InvariantError, ShapeError, count_leaves
 from skewcount.exact import det_exact
 from skewcount.gv import (
     GVConfig,
@@ -164,6 +164,16 @@ class TestDisjointFamilies:
         assert [[p.steps for p in f.paths] for f in families] == [
             ["NE", "NE"], ["NE", "EN"], ["EN", "NE"], ["EN", "EN"]
         ]
+
+    def test_a_path_past_the_step_limit_is_refused(self):
+        # each family path is written by path_from_north_record, which judges its steps
+        config = GVConfig(((0, 0),), ((20_000_000, 0),))
+        assert [len(f.paths[0].steps) for f in enumerate_disjoint_families(config)] == [20_000_000]
+        with pytest.raises(ShapeError) as refused:
+            enumerate_disjoint_families(GVConfig(((0, 0),), ((20_000_001, 0),)))
+        assert str(refused.value) == (
+            "shape too large: 20000001 path steps, past the limit of 20000000"
+        )
 
     def test_walk_recurses_once_per_row_a_path_crosses(self):
         # two paths of 201 and 301 steps cross two rows each, so the walk stays

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from skewcount.errors import ShapeError, WrongEndpointsError
+from skewcount.errors import MAX_PATH_STEPS, ShapeError, WrongEndpointsError
 from skewcount.kreweras import kreweras_count
 from skewcount.paths import (
     LatticePath,
@@ -64,6 +64,15 @@ class TestNorthRecord:
         with pytest.raises(ValueError):
             path_from_north_record((4,), 3)
 
+    def test_refuses_a_path_past_the_step_limit(self):
+        # width + n steps, north steps counted too, judged before a step is written
+        assert len(path_from_north_record((), MAX_PATH_STEPS).steps) == MAX_PATH_STEPS
+        line = f"shape too large: {MAX_PATH_STEPS + 1} path steps, past the limit of {MAX_PATH_STEPS}"
+        for record, width in (((), MAX_PATH_STEPS + 1), ((0,), MAX_PATH_STEPS)):
+            with pytest.raises(ShapeError) as refused:
+                path_from_north_record(record, width)
+            assert str(refused.value) == line
+
     @given(st.lists(st.integers(0, 5), min_size=0, max_size=5))
     def test_round_trip(self, xs):
         record = tuple(sorted(xs))
@@ -114,6 +123,14 @@ class TestEnumeratePaths:
     def test_records_sorted(self):
         records = [p.north_xs() for p in enumerate_paths(parse_shape("3,3,1"))]
         assert records == sorted(records)
+
+    def test_past_the_step_limit_is_refused(self):
+        # two rows of one cell, each of its two paths 20,000,002 steps
+        with pytest.raises(ShapeError) as refused:
+            enumerate_paths(parse_shape("20000001/20000000"))
+        assert str(refused.value) == (
+            "shape too large: 20000002 path steps, past the limit of 20000000"
+        )
 
 
 class TestCountDp:

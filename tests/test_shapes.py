@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,6 +24,13 @@ def test_partition_trims_trailing_zeros():
     assert tuple(Partition((2, 1, 0, 0))) == (2, 1)
     assert tuple(Partition((0,))) == ()
     assert len(Partition()) == 0
+
+
+def test_partition_trims_many_zeros_at_once():
+    # the zeros of a weakly decreasing partition are its last parts: one slice drops them
+    t0 = time.perf_counter()
+    assert Partition((1,) + (0,) * 100_000) == (1,)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_partition_rejects_bad_parts():
