@@ -35,12 +35,11 @@ def _load(name: str):
 
 
 class Route(NamedTuple):
-    """A search's enumerate word ``what``, ``listing(shape)`` (walk, leaf builder, budget)
-    and ``as_text`` of an item, or a count's ``count(shape)``."""
+    """A search's enumerate word ``what`` and ``listing(shape)`` (walk, leaf builder, budget),
+    whose items write their own ``to_text()`` and ``to_json()``, or a count's ``count(shape)``."""
 
     what: str | None = None
     listing: Callable | None = None
-    as_text: Callable | None = None
     count: Callable | None = None
 
 
@@ -64,14 +63,10 @@ def _run(route: Route, shape: SkewShape, cap: int, wanted: int | None = None, as
 ROUTES = {
     "det": Route(count=lambda shape: kreweras_count(shape)),
     "dp": Route(count=lambda shape: count_paths_dp(shape)),
-    "enum": Route("paths", lambda shape: _load("paths").path_listing(shape), lambda p: p.steps),
-    "tilings": Route(
-        "tilings", lambda shape: _load("tilings").tiling_listing(shape),
-        lambda t: " ".join(f"T{l.kind}({l.a},{l.b})" for l in t.sorted_lozenges()),
-    ),
+    "enum": Route("paths", lambda shape: _load("paths").path_listing(shape)),
+    "tilings": Route("tilings", lambda shape: _load("tilings").tiling_listing(shape)),
     "gv_enum": Route(
         "families", lambda shape: _load("gv").family_listing(_load("gv").gv_endpoints(shape)),
-        lambda f: " | ".join(f"({p.start[0]},{p.start[1]}):{p.steps}" for p in f.paths),
     ),
     "gv_det": Route(count=lambda shape: _load("gv").gv_count(_load("gv").gv_endpoints(shape))),
 }
@@ -227,7 +222,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     cap = parse_integer(args.cap, "--cap", 0)
     limit = None if args.limit is None else parse_integer(args.limit, "--limit", 0)
     route = next(route for route in ROUTES.values() if route.what == args.what)
-    as_text = route.as_text
+    as_text = lambda item: item.to_text()
     # dp's count fixes how many items print, judged before any walk; each prints at its leaf
     total = count_paths_dp(shape)
     shown = total if limit is None else min(limit, total)
@@ -255,10 +250,13 @@ def cmd_render(args: argparse.Namespace) -> int:
         tiling = tilings.tiling_at(shape, parse_integer(args.tiling, "--tiling", 0))
     else:
         tiling = tilings.lattice_path_to_tiling(shape, LatticePath((0, 0), args.path))
-    svg = tilings.render_svg(shape, tiling, args.shade)
+    # a line at a time; the outline's guard runs at the first line, before the file opens
+    lines = tilings._svg_lines(shape, tiling, args.shade)
+    first = next(lines)
     try:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(svg)
+            fh.write(first)
+            fh.writelines(lines)
     except OSError as exc:  # a missing directory, a directory as the target, ...
         raise ShapeError(f"cannot write {args.output}: {exc.strerror}") from None
     return 0

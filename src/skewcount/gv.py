@@ -43,6 +43,9 @@ class PathFamily(NamedTuple):
     def to_json(self) -> dict:
         return {"paths": [path.to_json() for path in self.paths]}
 
+    def to_text(self) -> str:
+        return " | ".join(f"({p.start[0]},{p.start[1]}):{p.to_text()}" for p in self.paths)
+
 
 def gv_endpoints(shape: SkewShape) -> GVConfig:
     """The fixed start/end realization for the shape."""
@@ -167,7 +170,8 @@ def _read_family(
 
 def family_listing(config: GVConfig) -> tuple[Callable, Callable[..., PathFamily], Budget]:
     """The family walk, a builder of a family from its leaf, and the budget: a frame a north
-    step and two a path, and "(x,y):" and steps a path, the same for every pairing of ends."""
+    step and two a path, and a lower bound on the family's ``to_text()``, the steps and 6
+    characters a path, as "(0,0):", the same for every pairing of ends."""
     starts, ends = config.starts, config.ends
     north = sum(ey - sy for (_, sy), (_, ey) in zip(starts, ends))
     steps = north + sum(ex - sx for (sx, _), (ex, _) in zip(starts, ends))

@@ -67,6 +67,9 @@ class LatticePath(NamedTuple("LatticePath", [("start", Point), ("steps", str)]))
     def to_json(self) -> dict:
         return {"start": list(self.start), "steps": self.steps}
 
+    def to_text(self) -> str:
+        return self.steps
+
 
 def path_from_north_record(record: tuple[int, ...], width: int) -> LatticePath:
     """Inverse of :meth:`LatticePath.north_xs` for paths from (0, 0) to (width, n). Each path
@@ -129,8 +132,8 @@ def walk_paths(shape: SkewShape, visit: Callable[[list[int]], None]) -> None:
 
 
 def path_listing(shape: SkewShape) -> tuple[Callable, Callable[[list[int]], LatticePath], Budget]:
-    """The path walk of the shape, the builder of a path from its leaf, and the budget: a frame
-    a row, and width + n steps a path, judged as the path is built; a count builds none."""
+    """The path walk, the builder of a path from its leaf, and the budget: a frame a row, and
+    the width + n characters of a path's ``to_text()``, its steps, judged as the path is built."""
     width = shape.width
     build = lambda rec: path_from_north_record(rec, width)
     return partial(walk_paths, shape), build, Budget(shape.n, width + shape.n)

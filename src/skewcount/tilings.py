@@ -108,6 +108,9 @@ class Tiling(NamedTuple):
     def to_json(self) -> dict:
         return {"lozenges": [[loz.kind, loz.a, loz.b] for loz in self.sorted_lozenges()]}
 
+    def to_text(self) -> str:
+        return " ".join(f"T{loz.kind}({loz.a},{loz.b})" for loz in self.sorted_lozenges())
+
 
 class RhombusPathFamily(NamedTuple):
     """Chains of lozenges crossing sides of one fixed direction.
@@ -250,7 +253,8 @@ def walk_tilings(shape: SkewShape, visit: Callable[[list[int]], None]) -> None:
 
 def tiling_listing(shape: SkewShape) -> tuple[Callable, Callable[[list[int]], Tiling], Budget]:
     """The tiling walk, a builder of a tiling from its leaf that reads its keys at its
-    first call, and the budget: a frame and a "Tk(a,b)" a lozenge of the region."""
+    first call, and the budget: a frame a lozenge of the region, and a lower bound on the
+    tiling's ``to_text()``, 7 characters a lozenge, as "T1(0,0)"."""
     lozenges = region_lozenges(shape)
     keys = []
 
@@ -406,10 +410,16 @@ def lattice_path_to_tiling(shape: SkewShape, path: LatticePath) -> Tiling:
         lozenges += [Lozenge(T1, x, y) for x in ups if (x, y) not in on_path]
         triangles.update((x, y, True) for x in ups)
         triangles.update((x, y, False) for x in downs)
-    covered = [t for loz in lozenges for t in lozenge_triangles(loz)]
-    if len(covered) != len(triangles) or set(covered) != triangles:
-        raise InvariantError(f"path {path.steps!r} does not tile {format_shape(shape)}")
-    return Tiling(frozenset(lozenges))
+    # each lozenge takes its triangles out of the region's one set: a triangle missing
+    # from it lies outside the region or is covered twice, and one left over is bare
+    for t in (t for loz in lozenges for t in lozenge_triangles(loz)):
+        if t not in triangles:
+            break
+        triangles.remove(t)
+    else:
+        if not triangles:
+            return Tiling(frozenset(lozenges))
+    raise InvariantError(f"path {path.steps!r} does not tile {format_shape(shape)}")
 
 
 def family_B_to_z2_paths(family: RhombusPathFamily, shape: SkewShape) -> PathFamily:
@@ -466,35 +476,41 @@ def render_svg(shape: SkewShape, tiling: Tiling | None = None, shade: str = "bot
     b (the disjoint family's), "both" does both, b last, so dark wins on the
     kind the two share.
     """
+    return "".join(_svg_lines(shape, tiling, shade))
+
+
+def _svg_lines(shape: SkewShape, tiling: Tiling | None, shade: str) -> Iterator[str]:
+    """:func:`render_svg`'s document a line at a time, each with its newline, so a writer
+    holds one line; the shade and the outline's size guard are checked at the first."""
     if shade not in ("a", "b", "both"):
         raise ValueError(f"unknown shade option {shade!r}")
     boundary = _boundary(shape)
     if not boundary:
-        return '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="0 0 1 1"/>\n'
+        yield '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="0 0 1 1"/>\n'
+        return
     corners = [_cart(p) for p in boundary]
     pad = 0.25 * _SCALE
     x0 = min(x for x, _ in corners) - pad
     y0 = min(y for _, y in corners) - pad
     w = max(x for x, _ in corners) + pad - x0
     h = max(y for _, y in corners) + pad - y0
-    lines = [
+    yield (
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'viewBox="{x0:.3f} {y0:.3f} {w:.3f} {h:.3f}">'
-    ]
+        f'viewBox="{x0:.3f} {y0:.3f} {w:.3f} {h:.3f}">\n'
+    )
     if tiling is not None:
         fills = {}  # kind -> colour; b after a, so dark wins on the shared kind
         for direction, colour in (("a", _LIGHT), ("b", _DARK)):
             if shade in (direction, "both"):
                 fills.update(dict.fromkeys(_CHAIN_SIDES[direction], colour))
         for loz in tiling.sorted_lozenges():
-            lines.append(
+            yield (
                 f'  <polygon points="{_fmt_points(lozenge_corners(loz))}" '
                 f'fill="{fills.get(loz.kind, _PLAIN)}" stroke="#000000" stroke-width="1.2" '
-                'stroke-linejoin="round"/>'
+                'stroke-linejoin="round"/>\n'
             )
-    lines.append(
+    yield (
         f'  <polygon points="{_fmt_points(boundary)}" fill="none" '
-        'stroke="#000000" stroke-width="2.6" stroke-linejoin="round"/>'
+        'stroke="#000000" stroke-width="2.6" stroke-linejoin="round"/>\n'
     )
-    lines.append("</svg>\n")
-    return "\n".join(lines)
+    yield "</svg>\n"

@@ -494,6 +494,39 @@ class TestEnumerate:
         first = items[0]["paths"]
         assert [p["start"] for p in first] == [[-1, 1], [-2, 2]]
 
+    @pytest.mark.parametrize("shape", list(dict.fromkeys([
+        *(cli.SkewShape(lam, mu) for lam in cli.partitions_in_box(3, 3)
+          for mu in cli.subpartitions(lam)),
+        cli.parse_shape("2,1"),
+    ])), ids=cli.format_shape)
+    def test_each_line_is_the_library_items_text_or_json(self, capsys, shape):
+        # enumerate prints each item's to_text(), or its to_json() with sorted keys,
+        # in the library's order, and the marker after the first 2 when --limit 2 cuts
+        from skewcount import (
+            enumerate_disjoint_families, enumerate_paths, enumerate_tilings, gv_endpoints,
+        )
+
+        listed = {
+            "paths": enumerate_paths(shape),
+            "tilings": enumerate_tilings(shape),
+            "families": enumerate_disjoint_families(gv_endpoints(shape)),
+        }
+        total = len(listed["paths"])
+        markers = {
+            "text": f"... truncated: showing 2 of {total}",
+            "json": json.dumps({"truncated": True, "shown": 2, "total": total}),
+        }
+        for what, items in listed.items():
+            forms = {
+                "text": [item.to_text() for item in items],
+                "json": [json.dumps(item.to_json(), sort_keys=True) for item in items],
+            }
+            for fmt, lines in forms.items():
+                argv = ("enumerate", cli.format_shape(shape), what, "--format", fmt)
+                assert run(capsys, *argv) == (0, "\n".join(lines) + "\n", "")
+                cut = lines[:2] + [markers[fmt]] * (total > 2)
+                assert run(capsys, *argv, "--limit", "2") == (0, "\n".join(cut) + "\n", "")
+
     def test_cap_applies(self, capsys):
         code, _, err = run(capsys, "enumerate", "3,2,1", "paths", "--cap", "3")
         assert code == 3
@@ -863,7 +896,7 @@ class TestBudgets:
         for shape in self.SHAPES:
             walk, build, budget = route.listing(shape)
             lengths = []
-            take_leaves(walk, lambda leaf: lengths.append(len(route.as_text(build(leaf)))), 200)
+            take_leaves(walk, lambda leaf: lengths.append(len(build(leaf).to_text())), 200)
             assert budget.item <= min(lengths), cli.format_shape(shape)
             if method == "enum":
                 assert set(lengths) == {budget.item}

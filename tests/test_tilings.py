@@ -580,6 +580,21 @@ class TestPathBijection:
         with pytest.raises(InvariantError, match="'NENE'"):
             lattice_path_to_tiling(parse_shape("2,1"), LatticePath((0, 0), "NENE"))
 
+    @pytest.mark.parametrize("cover", [
+        pytest.param(lambda up, down: (up, Triangle(1, 0, False)), id="covered-twice"),
+        pytest.param(lambda up, down: (up,), id="left-bare"),
+    ])
+    def test_cover_check_takes_each_triangle_once(self, monkeypatch, cover):
+        # T3(1,1) covers DOWN(1,0) of NENE's tiling: a T1(2,0) that takes it too finds it
+        # gone from the region's set, and one that covers only its UP leaves DOWN(2,0)
+        def patched(loz):
+            up, down = lozenge_triangles(loz)
+            return cover(up, down) if loz == Lozenge(T1, 2, 0) else (up, down)
+
+        monkeypatch.setattr("skewcount.tilings.lozenge_triangles", patched)
+        with pytest.raises(InvariantError, match="'NENE' does not tile 2,1"):
+            lattice_path_to_tiling(parse_shape("2,1"), LatticePath((0, 0), "NENE"))
+
     def test_not_admissible(self):
         with pytest.raises(NotAdmissibleError):
             lattice_path_to_tiling(parse_shape("2,1"), LatticePath((0, 0), "EENN"))
